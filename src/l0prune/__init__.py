@@ -5,19 +5,12 @@ weights W_hat, the solvers here minimize the layer reconstruction error
 tr((W_hat - W)^T H (W_hat - W)) subject to a global or n:m sparsity
 budget on W, and verify their own convergence behavior from recorded
 iteration traces.
+
+The names exported here are the user-facing API; solver internals (ADMM
+state and step, rescaling, ridge solve, projections) live in submodules.
 """
 
-from .admm import (
-    AdmmConfig,
-    AdmmState,
-    ScaledProblem,
-    admm_solve,
-    admm_step,
-    budget_from_sparsity,
-    initial_state,
-    preprocess,
-    rho_update,
-)
+from .admm import AdmmConfig, admm_solve, budget_from_sparsity
 from .baselines import (
     PruneSolution,
     activation_weighted_prune,
@@ -46,15 +39,7 @@ from .errors import (
     PruneError,
     TruncatedFileError,
 )
-from .linalg import (
-    EigenCache,
-    eigendecompose,
-    gram_from_activations,
-    layer_objective,
-    relative_error,
-    ridge_solve,
-    validate_gram,
-)
+from .linalg import gram_from_activations, layer_objective, relative_error
 from .matrixio import read_matrix, write_matrix
 from .pcg import PcgConfig, pcg_refine
 from .projections import (
@@ -62,21 +47,15 @@ from .projections import (
     SparsityBudget,
     SupportMask,
     Unstructured,
-    project,
-    project_nm,
-    project_topk,
-    support_change,
     support_of,
 )
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "BadMagicError",
     "BreakdownError",
     "DegenerateInstanceError",
     "DegenerateSupportError",
-    "EigenCache",
     "InvalidInputError",
     "InvalidTraceError",
     "IterRecord",
@@ -87,7 +66,6 @@ __all__ = [
     "PcgConfig",
     "PruneError",
     "PruneSolution",
-    "ScaledProblem",
     "SparsityBudget",
     "SupportMask",
     "TheoremBound",
@@ -96,30 +74,19 @@ __all__ = [
     "Violation",
     "activation_weighted_prune",
     "admm_solve",
-    "admm_step",
     "backsolve_exact",
     "brute_force_support",
     "budget_from_sparsity",
     "check_lemma1",
     "check_lemma2",
-    "eigendecompose",
     "gram_from_activations",
-    "initial_state",
     "layer_objective",
     "magnitude_prune",
     "pcg_refine",
-    "preprocess",
-    "project",
-    "project_nm",
-    "project_topk",
     "read_matrix",
     "relative_error",
-    "rho_update",
-    "ridge_solve",
-    "support_change",
     "support_of",
     "theorem1_residual_bound",
-    "validate_gram",
     "write_matrix",
 ]
 

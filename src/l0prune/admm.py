@@ -21,25 +21,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import PruneSolution
+from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import (
-    EigenCache,
-    as_matrix,
-    eigendecompose,
-    layer_objective,
-    relative_error,
-    ridge_solve,
-    validate_gram,
-)
+from .linalg import EigenCache, as_matrix, eigendecompose, ridge_solve, validate_gram
 from .pcg import PcgConfig, pcg_refine
 from .projections import (
     SparsityBudget,
     SupportMask,
     Unstructured,
     budget_size,
-    check_budget,
     project,
     support_change,
     support_of,
@@ -208,16 +199,12 @@ def admm_solve(
     The returned solution carries a per-iteration trace for the
     convergence diagnostics.
     """
-    h = validate_gram(h)
     w_hat = as_matrix(w_hat, "dense weights")
-    if w_hat.shape[0] != h.shape[0]:
-        raise InvalidInputError("gram and weight shapes do not conform")
-    check_budget(budget, w_hat.shape)
-
+    # Checks the budget before any Gram work; preprocess validates the Gram.
+    k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
     cache = eigendecompose(scaled.gram)
     state = initial_state(scaled, cache, cfg.rho0)
-    k_eff = budget_size(budget, w_hat.shape)
     trace = IterTrace(
         records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.g)
     )
@@ -279,12 +266,8 @@ def admm_solve(
         stats=pcg_stats,
     )
     w = scaled.scale[:, None] * refined
-    return PruneSolution(
-        w=w,
-        support=support_of(w),
-        objective=layer_objective(h, w_hat, w),
-        rel_error=relative_error(h, w_hat, w),
-        method="admm",
+    return build_solution(
+        w, h, w_hat, "admm",
         stabilized=stabilized,
         iterations=len(trace.records),
         rho_final=state.rho,

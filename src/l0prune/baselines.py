@@ -17,14 +17,12 @@ from .diagnostics import IterTrace
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
 from .linalg import as_matrix, layer_objective, relative_error, validate_gram
 from .projections import (
-    NM,
     SparsityBudget,
     SupportMask,
     Unstructured,
+    budget_mask,
     check_budget,
-    nm_mask,
     support_of,
-    topk_mask,
 )
 
 BRUTE_FORCE_LIMIT = 20
@@ -50,10 +48,12 @@ class PruneSolution:
     trace: IterTrace | None = field(default=None, repr=False)
 
 
-def _metrics(h, w_hat, w):
-    if h is None:
-        return None, None
-    return layer_objective(h, w_hat, w), relative_error(h, w_hat, w)
+def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
+    """Package w with its support, metrics when h is given, and extra fields."""
+    objective = rel = None
+    if h is not None:
+        objective, rel = layer_objective(h, w_hat, w), relative_error(h, w_hat, w)
+    return PruneSolution(w, support_of(w), objective, rel, method, **extra)
 
 
 def backsolve_exact(h, w_hat, support: SupportMask) -> np.ndarray:
@@ -100,8 +100,7 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
         raise InvalidInputError(
             f"instance has {size} weights; enumeration is capped at {BRUTE_FORCE_LIMIT}"
         )
-    if k < 0 or k > size:
-        raise InvalidInputError(f"k={k} out of range for {size} weights")
+    check_budget(Unstructured(k), w_hat.shape)
 
     best_w = None
     best_obj = np.inf
@@ -119,33 +118,24 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
             best_w = w
     if best_w is None:
         raise DegenerateInstanceError("every candidate support was singular")
-    objective, rel = _metrics(h, w_hat, best_w)
-    return PruneSolution(
-        w=best_w,
-        support=support_of(best_w),
-        objective=objective,
-        rel_error=rel,
-        method="brute_force",
-    )
+    return build_solution(best_w, h, w_hat, "brute_force")
+
+
+def _keep_best(scores, w_hat, h, budget: SparsityBudget, method: str) -> PruneSolution:
+    """Keep the dense weights whose scores rank highest under the budget."""
+    w = np.where(budget_mask(scores, budget), w_hat, 0.0)
+    return build_solution(w, h, w_hat, method)
 
 
 def magnitude_prune(w_hat, budget: SparsityBudget, gram=None) -> PruneSolution:
-    """Keep the largest-magnitude weights allowed by the budget."""
+    """Keep the largest-magnitude weights allowed by the budget.
+
+    gram, when given, is validated and used only for the metrics.
+    """
     w_hat = as_matrix(w_hat, "dense weights")
-    check_budget(budget, w_hat.shape)
-    if isinstance(budget, Unstructured):
-        mask = topk_mask(np.abs(w_hat), budget.k)
-    else:
-        mask = nm_mask(np.abs(w_hat), budget.n, budget.m)
-    w = np.where(mask, w_hat, 0.0)
-    objective, rel = _metrics(gram, w_hat, w)
-    return PruneSolution(
-        w=w,
-        support=support_of(w),
-        objective=objective,
-        rel_error=rel,
-        method="magnitude",
-    )
+    if gram is not None:
+        gram = validate_gram(gram)
+    return _keep_best(np.abs(w_hat), w_hat, gram, budget, "magnitude")
 
 
 def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution:
@@ -162,19 +152,6 @@ def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution
     w_hat = as_matrix(w_hat, "dense weights")
     if w_hat.shape[0] != h.shape[0]:
         raise InvalidInputError("gram and weight shapes do not conform")
-    check_budget(budget, w_hat.shape)
     channel_norms = np.sqrt(np.clip(np.diag(h), 0.0, None))
     scores = np.abs(w_hat) * channel_norms[:, None]
-    if isinstance(budget, Unstructured):
-        mask = topk_mask(scores, budget.k)
-    else:
-        mask = nm_mask(scores, budget.n, budget.m)
-    w = np.where(mask, w_hat, 0.0)
-    objective, rel = _metrics(h, w_hat, w)
-    return PruneSolution(
-        w=w,
-        support=support_of(w),
-        objective=objective,
-        rel_error=rel,
-        method="activation_weighted",
-    )
+    return _keep_best(scores, w_hat, h, budget, "activation_weighted")

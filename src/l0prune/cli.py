@@ -23,6 +23,7 @@ from .baselines import (
     activation_weighted_prune,
     backsolve_exact,
     brute_force_support,
+    build_solution,
     magnitude_prune,
 )
 from .diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
@@ -32,7 +33,7 @@ from .errors import (
     InvalidInputError,
     PruneError,
 )
-from .linalg import gram_from_activations, layer_objective, relative_error, validate_gram
+from .linalg import gram_from_activations, relative_error, validate_gram
 from .matrixio import read_matrix, write_matrix
 from .projections import NM, SparsityBudget, Unstructured, support_of
 
@@ -184,23 +185,16 @@ def cmd_oracle(args) -> int:
     if args.pruned is not None:
         support = support_of(read_matrix(args.pruned))
         w = backsolve_exact(h, w_hat, support)
-        solution = PruneSolution(
-            w=w,
-            support=support_of(w),
-            objective=layer_objective(h, w_hat, w),
-            rel_error=relative_error(h, w_hat, w),
-            method="backsolve",
-        )
-        method = "backsolve"
+        solution = build_solution(w, h, w_hat, "backsolve")
         k = support.count
     else:
         solution = brute_force_support(h, w_hat, args.brute_k)
-        method = "brute_force"
         k = args.brute_k
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    size = w_hat.shape[0] * w_hat.shape[1]
-    block = {"kind": "unstructured", "k": k, "sparsity": 1.0 - k / size}
-    report = _report_for(solution, method, block, w_hat.shape, runtime_ms, args.seed)
+    block = _budget_block(Unstructured(k), w_hat.shape)
+    report = _report_for(
+        solution, solution.method, block, w_hat.shape, runtime_ms, args.seed
+    )
     _emit(report, solution, args)
     return EXIT_OK
 

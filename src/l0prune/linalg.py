@@ -115,6 +115,8 @@ def layer_objective(h, w_hat, w) -> float:
     h = as_matrix(h, "gram")
     w_hat = as_matrix(w_hat, "dense weights")
     w = as_matrix(w, "weights")
+    if h.shape[0] != h.shape[1]:
+        raise InvalidInputError(f"gram must be square, got {h.shape}")
     if w.shape != w_hat.shape or w_hat.shape[0] != h.shape[0]:
         raise InvalidInputError("shape mismatch between gram and weights")
     delta = w_hat - w
@@ -129,9 +131,11 @@ def relative_error(h, w_hat, w) -> float:
     denominator is the energy of the dense layer output; a zero value
     means the instance carries no signal to preserve.
     """
+    # The objective checks every shape before the denominator's product.
+    objective = layer_objective(h, w_hat, w)
     h = as_matrix(h, "gram")
     w_hat = as_matrix(w_hat, "dense weights")
     denom = float(np.vdot(w_hat, h @ w_hat))
     if denom <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
-    return layer_objective(h, w_hat, w) / denom
+    return objective / denom

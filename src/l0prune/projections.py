@@ -123,38 +123,29 @@ def nm_mask(scores: np.ndarray, n: int, m: int) -> np.ndarray:
     return mask.reshape(n_in, n_out)
 
 
-def project_topk(a, k: int) -> np.ndarray:
-    """Projection onto matrices with at most k nonzeros.
-
-    Keeps the k largest-magnitude entries at their exact values and
-    zeroes the rest; the closest such matrix in Frobenius distance.
-    """
-    a = as_matrix(a, "matrix")
-    if k < 0 or k > a.size:
-        raise InvalidInputError(f"k={k} out of range for a matrix with {a.size} entries")
-    return np.where(topk_mask(np.abs(a), k), a, 0.0)
-
-
-def project_nm(a, n: int, m: int) -> np.ndarray:
-    """Projection onto n:m sparsity along the input dimension.
-
-    Each output column is cut into groups of m consecutive weights; the
-    n largest magnitudes per group survive unchanged.
-    """
-    a = as_matrix(a, "matrix")
-    if m < 1 or n < 1 or n > m:
-        raise InvalidInputError(f"need 1 <= n <= m, got n={n}, m={m}")
-    if a.shape[0] % m != 0:
-        raise InvalidInputError(
-            f"input dimension {a.shape[0]} not divisible by group size {m}"
-        )
-    return np.where(nm_mask(np.abs(a), n, m), a, 0.0)
+def budget_mask(scores: np.ndarray, budget: SparsityBudget) -> np.ndarray:
+    """Mask of the highest scores the budget keeps, after checking the budget."""
+    check_budget(budget, scores.shape)
+    if isinstance(budget, Unstructured):
+        return topk_mask(scores, budget.k)
+    return nm_mask(scores, budget.n, budget.m)
 
 
 def project(a, budget: SparsityBudget) -> np.ndarray:
-    """Project onto whichever budget shape is active."""
-    if isinstance(budget, Unstructured):
-        return project_topk(a, budget.k)
-    if isinstance(budget, NM):
-        return project_nm(a, budget.n, budget.m)
-    raise InvalidInputError(f"unknown budget type {type(budget).__name__}")
+    """Projection onto the budget: the closest feasible matrix in Frobenius norm.
+
+    Keeps the largest magnitudes the budget allows (globally, or per group
+    of m consecutive input weights) at their exact values; zeroes the rest.
+    """
+    a = as_matrix(a, "matrix")
+    return np.where(budget_mask(np.abs(a), budget), a, 0.0)
+
+
+def project_topk(a, k: int) -> np.ndarray:
+    """Projection onto matrices with at most k nonzeros."""
+    return project(a, Unstructured(k))
+
+
+def project_nm(a, n: int, m: int) -> np.ndarray:
+    """Projection onto n:m sparsity along the input dimension."""
+    return project(a, NM(n, m))

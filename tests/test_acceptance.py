@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import l0prune as lp
+from l0prune.admm import preprocess
 from l0prune.cli import main as cli_main
+from l0prune.projections import project_nm
 
 from conftest import correlated_activations, random_problem
 
@@ -42,7 +44,7 @@ def tracked_solve(h, w_hat, budget, runs, cfg=lp.AdmmConfig()):
             "stabilized": sol.stabilized,
             "rho0": cfg.rho0,
             "rho_final": sol.rho_final,
-            "scaled_w_norm": float(np.linalg.norm(lp.preprocess(h, w_hat).w_hat)),
+            "scaled_w_norm": float(np.linalg.norm(preprocess(h, w_hat).w_hat)),
         }
     )
     return sol
@@ -235,7 +237,7 @@ def test_6_nm_correctness(tmp_path, announce):
         m = int(rng.choice([2, 4, 8]))
         n = int(rng.integers(1, m + 1))
         group = rng.standard_normal((m, 1))
-        out = lp.project_nm(group, n, m)
+        out = project_nm(group, n, m)
         order = np.argsort(-np.abs(group[:, 0]), kind="stable")[:n]
         expected = np.zeros((m, 1))
         expected[order, 0] = group[order, 0]

@@ -8,15 +8,12 @@ from l0prune import (
     InvalidInputError,
     Unstructured,
     admm_solve,
-    admm_step,
     brute_force_support,
     budget_from_sparsity,
-    eigendecompose,
     layer_objective,
-    preprocess,
-    rho_update,
 )
-from l0prune.admm import initial_state
+from l0prune.admm import admm_step, initial_state, preprocess, rho_update
+from l0prune.linalg import eigendecompose
 from l0prune.projections import budget_size
 
 from conftest import random_problem, random_psd

@@ -1,0 +1,84 @@
+"""The top-level namespace exports the user-facing API and nothing else."""
+
+import importlib
+
+import pytest
+
+import l0prune
+
+PUBLIC_API = [
+    "AdmmConfig",
+    "BadMagicError",
+    "BreakdownError",
+    "DegenerateInstanceError",
+    "DegenerateSupportError",
+    "InvalidInputError",
+    "InvalidTraceError",
+    "IterRecord",
+    "IterTrace",
+    "MatrixFileError",
+    "NM",
+    "NonFiniteDataError",
+    "PcgConfig",
+    "PruneError",
+    "PruneSolution",
+    "SparsityBudget",
+    "SupportMask",
+    "TheoremBound",
+    "TruncatedFileError",
+    "Unstructured",
+    "Violation",
+    "activation_weighted_prune",
+    "admm_solve",
+    "backsolve_exact",
+    "brute_force_support",
+    "budget_from_sparsity",
+    "check_lemma1",
+    "check_lemma2",
+    "gram_from_activations",
+    "layer_objective",
+    "magnitude_prune",
+    "pcg_refine",
+    "read_matrix",
+    "relative_error",
+    "support_of",
+    "theorem1_residual_bound",
+    "write_matrix",
+]
+
+# The benchmark harness (bench/run.py) reaches these through `import l0prune`.
+BENCH_NAMES = [
+    "admm_solve",
+    "activation_weighted_prune",
+    "backsolve_exact",
+    "support_of",
+    "budget_from_sparsity",
+    "NM",
+    "Unstructured",
+]
+
+INTERNALS = {
+    "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
+                     "preprocess", "rho_update"],
+    "l0prune.linalg": ["EigenCache", "eigendecompose", "ridge_solve", "validate_gram"],
+    "l0prune.projections": ["project", "project_topk", "project_nm", "support_change"],
+}
+
+
+def test_all_is_the_public_api():
+    assert sorted(l0prune.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(l0prune, name), name
+
+
+def test_bench_names_stay_top_level():
+    for name in BENCH_NAMES:
+        assert name in l0prune.__all__ and hasattr(l0prune, name), name
+
+
+@pytest.mark.parametrize("module", sorted(INTERNALS))
+def test_internals_live_in_submodules(module):
+    mod = importlib.import_module(module)
+    for name in INTERNALS[module]:
+        assert hasattr(mod, name), name
+        assert name not in l0prune.__all__, name

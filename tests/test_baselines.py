@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from l0prune import (
     NM,
@@ -15,7 +16,7 @@ from l0prune import (
     magnitude_prune,
     support_of,
 )
-from l0prune.projections import SupportMask
+from l0prune.projections import SupportMask, project
 
 from conftest import random_problem
 
@@ -167,14 +168,35 @@ def test_magnitude_nm_budget_feasible():
     assert (np.count_nonzero(groups, axis=1) <= 2).all()
 
 
+@given(st.integers(0, 2**31 - 1), st.integers(0, 24), st.integers(1, 4))
+def test_magnitude_equals_projection(seed, k, n):
+    # Integer-valued entries make magnitude ties common.
+    w_hat = np.random.default_rng(seed).integers(-3, 4, size=(8, 3)).astype(float)
+    for budget in (Unstructured(k), NM(n, 4)):
+        np.testing.assert_array_equal(
+            magnitude_prune(w_hat, budget).w, project(w_hat, budget)
+        )
+
+
+@pytest.mark.parametrize(
+    "gram", [np.eye(3, 4), np.triu(np.ones((3, 3)))], ids=["non_square", "asymmetric"]
+)
+def test_magnitude_rejects_malformed_gram(gram):
+    with pytest.raises(InvalidInputError):
+        magnitude_prune(np.ones((3, 2)), Unstructured(2), gram=gram)
+
+
 # --- activation_weighted_prune ---
 
 
-def test_activation_weighted_equals_magnitude_under_identity():
+@pytest.mark.parametrize(
+    "n_in,budget", [(5, Unstructured(7)), (8, NM(2, 4))], ids=["unstructured", "nm24"]
+)
+def test_activation_weighted_equals_magnitude_under_identity(n_in, budget):
     rng = np.random.default_rng(9)
-    w_hat = rng.standard_normal((5, 3))
-    aw = activation_weighted_prune(w_hat, np.eye(5), Unstructured(7))
-    mp = magnitude_prune(w_hat, Unstructured(7))
+    w_hat = rng.standard_normal((n_in, 3))
+    aw = activation_weighted_prune(w_hat, np.eye(n_in), budget)
+    mp = magnitude_prune(w_hat, budget)
     np.testing.assert_array_equal(aw.support.mask, mp.support.mask)
 
 

@@ -5,14 +5,11 @@ from hypothesis import given, strategies as st
 from l0prune import (
     DegenerateInstanceError,
     InvalidInputError,
-    eigendecompose,
     gram_from_activations,
     layer_objective,
     relative_error,
-    ridge_solve,
-    validate_gram,
 )
-from l0prune.linalg import as_matrix
+from l0prune.linalg import as_matrix, eigendecompose, ridge_solve, validate_gram
 
 from conftest import random_psd
 
@@ -192,6 +189,13 @@ def test_layer_objective_never_negative(seed):
     rng = np.random.default_rng(seed)
     h = random_psd(rng, 3, rank=2)
     assert layer_objective(h, rng.standard_normal((3, 2)), rng.standard_normal((3, 2))) >= 0.0
+
+
+@pytest.mark.parametrize("metric", [layer_objective, relative_error])
+def test_metrics_reject_non_square_gram(metric):
+    w_hat = np.ones((3, 2))
+    with pytest.raises(InvalidInputError):
+        metric(np.eye(3, 4), w_hat, np.zeros_like(w_hat))
 
 
 def test_relative_error_trivial_endpoints():

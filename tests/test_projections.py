@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from l0prune import (
-    NM,
-    InvalidInputError,
-    Unstructured,
+from l0prune import NM, InvalidInputError, Unstructured, support_of
+from l0prune.projections import (
+    budget_size,
+    check_budget,
+    nm_mask,
     project,
     project_nm,
     project_topk,
     support_change,
-    support_of,
+    topk_mask,
 )
-from l0prune.projections import budget_size, check_budget, nm_mask, topk_mask
 
 
 @st.composite
