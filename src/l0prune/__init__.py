@@ -7,7 +7,7 @@ budget on W, and verify their own convergence behavior from recorded
 iteration traces.
 
 The names exported here are the user-facing API; solver internals (ADMM
-state and step, rescaling, ridge solve, projections) live in submodules.
+state and step, rescaling, eigendecomposition, projections) live in submodules.
 """
 
 from .admm import AdmmConfig, admm_solve, budget_from_sparsity

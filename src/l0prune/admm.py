@@ -12,6 +12,14 @@ support can move, and grows on a step schedule driven by how much the
 support of D changed over the last few iterations. Once the support stops
 changing the loop ends and conjugate-gradient refinement solves for the
 optimal weights on the frozen support.
+
+H = Q diag(lambda) Q^T is factored once per solve, and the iterates are
+carried in its eigenbasis too: the state keeps Q^T G, Q^T D and Q^T V
+next to W, D and V. The ridge solve is then a division by lambda + rho,
+and an iteration costs two dense products, W = Q (Q^T W) and Q^T D;
+Q^T V follows V elementwise. Because Q is orthogonal, the trace norms
+||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
+||diag(lambda) Q^T V|| need no product at all.
 """
 
 from __future__ import annotations
@@ -24,16 +32,16 @@ import numpy as np
 from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import EigenCache, as_matrix, eigendecompose, ridge_solve, validate_gram
+from .linalg import EigenCache, as_matrix, eigendecompose, validate_gram
 from .pcg import PcgConfig, pcg_refine
 from .projections import (
     SparsityBudget,
     SupportMask,
     Unstructured,
     budget_size,
+    mask_support,
     project,
     support_change,
-    support_of,
 )
 
 DEAD_DIAG_RTOL = 1e-12
@@ -118,15 +126,20 @@ def preprocess(h, w_hat) -> ScaledProblem:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """One solve's iterates; created by initial_state, advanced by admm_step."""
+    """One solve's iterates; created by initial_state, advanced by admm_step.
+
+    qtg, qtd and qtv are Q^T G, Q^T D and Q^T V in the eigenbasis of cache.
+    """
 
     w: np.ndarray
     d: np.ndarray
     v: np.ndarray
+    qtg: np.ndarray
+    qtd: np.ndarray
+    qtv: np.ndarray
     rho: float
     iteration: int
     prev_support: SupportMask
-    g: np.ndarray
     cache: EigenCache
 
 
@@ -135,25 +148,37 @@ def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> Admm
     if not rho0 > 0:
         raise InvalidInputError("rho0 must be positive")
     w_hat = scaled.w_hat
+    qtd = cache.q.T @ w_hat
     return AdmmState(
         w=w_hat.copy(),
         d=w_hat.copy(),
         v=np.zeros_like(w_hat),
+        # Q^T H W_hat = diag(lambda) Q^T W_hat, so G itself is never formed.
+        qtg=cache.eigenvalues[:, None] * qtd,
+        qtd=qtd,
+        qtv=np.zeros_like(w_hat),
         rho=rho0,
         iteration=0,
-        prev_support=support_of(w_hat),
-        g=scaled.gram @ w_hat,
+        prev_support=mask_support(w_hat != 0.0),
         cache=cache,
     )
 
 
 def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
     """Advance W, D, V one iteration, in that order, under one rho."""
-    rho = state.rho
-    w = ridge_solve(state.cache, rho, state.g - state.v + rho * state.d)
+    rho, q = state.rho, state.cache.q
+    # (H + rho I) W = G - V + rho D is diagonal in the eigenbasis.
+    qtw = state.qtg - state.qtv + rho * state.qtd
+    qtw /= (state.cache.eigenvalues + rho)[:, None]
+    w = q @ qtw
     d = project(w + state.v / rho, budget)
     v = state.v + rho * (w - d)
-    return replace(state, w=w, d=d, v=v, iteration=state.iteration + 1)
+    qtd = q.T @ d
+    # Q^T V follows V + rho (W - D) without a product, since Q^T W is qtw.
+    qtv = state.qtv + rho * (qtw - qtd)
+    return replace(
+        state, w=w, d=d, v=v, qtd=qtd, qtv=qtv, iteration=state.iteration + 1
+    )
 
 
 def rho_update(
@@ -206,28 +231,27 @@ def admm_solve(
     cache = eigendecompose(scaled.gram)
     state = initial_state(scaled, cache, cfg.rho0)
     trace = IterTrace(
-        records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.g)
+        records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.qtg)
     )
+    lam = cache.eigenvalues[:, None]
+    lam_sq = cache.eigenvalues**2
 
-    # H D and H V for the trace, updated as the iterates move. D starts at
-    # the (rescaled) dense weights, so H D starts at G.
-    hd = state.g.copy()
-    hv = np.zeros_like(state.g)
     stabilized = False
     while state.iteration < cfg.max_iters:
         rho_t = state.rho
         d_prev = state.d
         d_norm = _frob(d_prev)
         v_norm = _frob(state.v)
-        grad_gap = _frob(state.g - hd)
-        hv_norm = _frob(hv)
+        grad_gap = _frob(state.qtg - lam * state.qtd)
+        # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
+        hv_norm = math.sqrt(lam_sq @ np.einsum("ij,ij->i", state.qtv, state.qtv))
 
         state = admm_step(state, budget)
 
         delta = None
         boundary = state.iteration % cfg.check_period == 0
         if boundary:
-            current = support_of(state.d)
+            current = mask_support(state.d != 0.0)
             delta = support_change(current, state.prev_support)
             state = replace(state, prev_support=current)
         trace.records.append(
@@ -251,11 +275,8 @@ def admm_solve(
                 stabilized = True
                 break
             state = replace(state, rho=new_rho)
-        if state.iteration < cfg.max_iters:
-            hd = scaled.gram @ state.d
-            hv = scaled.gram @ state.v
 
-    support = support_of(state.d)
+    support = mask_support(state.d != 0.0)
     pcg_stats: dict = {}
     refined = pcg_refine(
         scaled.gram,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import IterTrace
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
-from .linalg import as_matrix, layer_objective, relative_error, validate_gram
+from .linalg import as_matrix, layer_objective, output_energy, validate_gram
 from .projections import (
     SparsityBudget,
     SupportMask,
@@ -52,7 +52,8 @@ def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
     """Package w with its support, metrics when h is given, and extra fields."""
     objective = rel = None
     if h is not None:
-        objective, rel = layer_objective(h, w_hat, w), relative_error(h, w_hat, w)
+        objective = layer_objective(h, w_hat, w)
+        rel = objective / output_energy(h, w_hat)
     return PruneSolution(w, support_of(w), objective, rel, method, **extra)
 
 

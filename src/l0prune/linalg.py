@@ -71,21 +71,18 @@ class EigenCache:
     eigenvalues: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
     def spectral_norm(self) -> float:
         return float(self.eigenvalues[-1])
 
 
-def eigendecompose(h) -> EigenCache:
-    """Factor a PSD Gram matrix once so ridge systems solve in O(n^2) per rhs.
+def eigendecompose(h: np.ndarray) -> EigenCache:
+    """Factor a validated symmetric Gram matrix once for every penalty rho.
 
-    Eigenvalues in [-EIG_NEG_RTOL * max_eig, 0) are rounding noise and get
-    clamped to zero; anything more negative means the input is not PSD.
+    The caller has already run validate_gram; this only checks what the
+    spectrum reveals. Eigenvalues in [-EIG_NEG_RTOL * max_eig, 0) are
+    rounding noise and get clamped to zero; anything more negative means
+    the input is not PSD.
     """
-    h = validate_gram(h)
     eigenvalues, q = np.linalg.eigh(h)
     max_eig = max(float(eigenvalues[-1]), 0.0)
     if eigenvalues[0] < -EIG_NEG_RTOL * max_eig:
@@ -94,20 +91,6 @@ def eigendecompose(h) -> EigenCache:
             f"vs max {max_eig:.3e}"
         )
     return EigenCache(q=q, eigenvalues=np.clip(eigenvalues, 0.0, None))
-
-
-def ridge_solve(cache: EigenCache, rho: float, b) -> np.ndarray:
-    """Solve (H + rho*I) W = B through the cached eigenbasis."""
-    if not rho > 0:
-        raise InvalidInputError(f"rho must be positive, got {rho}")
-    b = as_matrix(b, "rhs")
-    if b.shape[0] != cache.dim:
-        raise InvalidInputError(
-            f"rhs has {b.shape[0]} rows, expected {cache.dim}"
-        )
-    qtb = cache.q.T @ b
-    qtb /= (cache.eigenvalues + rho)[:, None]
-    return cache.q @ qtb
 
 
 def layer_objective(h, w_hat, w) -> float:
@@ -131,11 +114,15 @@ def relative_error(h, w_hat, w) -> float:
     denominator is the energy of the dense layer output; a zero value
     means the instance carries no signal to preserve.
     """
-    # The objective checks every shape before the denominator's product.
-    objective = layer_objective(h, w_hat, w)
-    h = as_matrix(h, "gram")
-    w_hat = as_matrix(w_hat, "dense weights")
-    denom = float(np.vdot(w_hat, h @ w_hat))
-    if denom <= 0.0:
+    # The objective checks every array before the denominator uses them.
+    return layer_objective(h, w_hat, w) / output_energy(h, w_hat)
+
+
+def output_energy(h, w_hat) -> float:
+    """tr(W_hat^T H W_hat) for arrays layer_objective has already checked."""
+    h = np.asarray(h, dtype=np.float64)
+    w_hat = np.asarray(w_hat, dtype=np.float64)
+    energy = float(np.vdot(w_hat, h @ w_hat))
+    if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
-    return objective / denom
+    return energy

@@ -80,8 +80,11 @@ class SupportMask:
 
 def support_of(a) -> SupportMask:
     """Support (exact-nonzero pattern) of a matrix."""
-    a = as_matrix(a, "matrix")
-    mask = a != 0.0
+    return mask_support(as_matrix(a, "matrix") != 0.0)
+
+
+def mask_support(mask: np.ndarray) -> SupportMask:
+    """Wrap a boolean pattern with its population count."""
     return SupportMask(mask=mask, count=int(mask.sum()))
 
 
@@ -136,8 +139,9 @@ def project(a, budget: SparsityBudget) -> np.ndarray:
 
     Keeps the largest magnitudes the budget allows (globally, or per group
     of m consecutive input weights) at their exact values; zeroes the rest.
+    a must be a finite 2-D float array: the solver calls this every
+    iteration on arrays it built itself, so it does not re-validate them.
     """
-    a = as_matrix(a, "matrix")
     return np.where(budget_mask(np.abs(a), budget), a, 0.0)
 
 

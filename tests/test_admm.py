@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,10 @@ from l0prune import (
     budget_from_sparsity,
     layer_objective,
 )
-from l0prune.admm import admm_step, initial_state, preprocess, rho_update
+from l0prune import linalg
+from l0prune.admm import ScaledProblem, admm_step, initial_state, preprocess, rho_update
 from l0prune.linalg import eigendecompose
-from l0prune.projections import budget_size
+from l0prune.projections import budget_size, project
 
 from conftest import random_problem, random_psd
 
@@ -128,27 +133,46 @@ def test_first_step_fixes_dense_weights():
 
 
 def test_step_with_zero_gram_copies_sparse_iterate():
-    scaled = preprocess(np.diag([1.0, 1.0]), np.zeros((2, 2)))
-    state = initial_state(scaled, eigendecompose(scaled.gram), 0.5)
-    # Force G = 0 and V = 0 by zero weights; then W = (rho D) / (H + rho).
-    stepped = admm_step(state, Unstructured(4))
-    np.testing.assert_allclose(stepped.w, state.d / 3.0, atol=1e-14)
+    # With H = 0, G = 0 and V = 0, the dense update is W = (rho D) / rho = D.
+    w_hat = np.arange(6.0).reshape(3, 2)
+    scaled = ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat, np.zeros(3, dtype=bool))
+    state = initial_state(scaled, eigendecompose(scaled.gram), 2.0)
+    stepped = admm_step(state, Unstructured(6))
+    np.testing.assert_allclose(stepped.w, state.d, atol=1e-14)
 
 
-def test_step_matches_explicit_inverse():
+def test_step_on_diagonal_gram_by_hand():
+    # H = diag(1, 4), W_hat = (1, 1), rho = 1, keep one weight. Step 1
+    # returns W = W_hat, keeps the first of the tied entries, V = (0, 1).
+    # Step 2: W = (G - V + D) / (diag(H) + 1) = (2, 3) / (2, 5).
+    scaled = ScaledProblem(np.ones(2), np.diag([1.0, 4.0]), np.ones((2, 1)),
+                           np.zeros(2, dtype=bool))
+    state = initial_state(scaled, eigendecompose(scaled.gram), 1.0)
+    first = admm_step(state, Unstructured(1))
+    np.testing.assert_allclose(first.w, [[1.0], [1.0]], atol=1e-14)
+    np.testing.assert_array_equal(first.d, [[1.0], [0.0]])
+    np.testing.assert_allclose(first.v, [[0.0], [1.0]], atol=1e-14)
+    second = admm_step(first, Unstructured(1))
+    np.testing.assert_allclose(second.w, [[1.0], [0.6]], atol=1e-14)
+    np.testing.assert_allclose(second.d, [[0.0], [1.6]], atol=1e-14)
+    np.testing.assert_allclose(second.v, [[1.0], [0.0]], atol=1e-14)
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.1, 1e4])
+def test_step_matches_explicit_inverse(rho):
     rng = np.random.default_rng(3)
     h, w_hat = random_problem(rng, 5, 2)
     scaled = preprocess(h, w_hat)
     cache = eigendecompose(scaled.gram)
-    state = initial_state(scaled, cache, 0.1)
+    state = initial_state(scaled, cache, rho)
     budget = Unstructured(4)
     for _ in range(3):
         state = admm_step(state, budget)
 
-    rho = state.rho
     hp, wp = scaled.gram, state
+    g = scaled.gram @ scaled.w_hat
     inv = np.linalg.inv(hp + rho * np.eye(5))
-    w = inv @ (wp.g - wp.v + rho * wp.d)
+    w = inv @ (g - wp.v + rho * wp.d)
     d = np.where(
         np.abs(w + wp.v / rho)
         >= np.partition(np.abs(w + wp.v / rho).ravel(), -4)[-4],
@@ -160,6 +184,81 @@ def test_step_matches_explicit_inverse():
     np.testing.assert_allclose(after.w, w, atol=1e-8)
     np.testing.assert_allclose(after.d, d, atol=1e-8)
     np.testing.assert_allclose(after.v, v, atol=1e-8)
+
+
+def _assert_rel_close(actual, expected, rtol=1e-9):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("budget", [Unstructured(58), NM(2, 4)], ids=["topk", "nm24"])
+@pytest.mark.parametrize("case", ["correlated", "dead_channel", "float32"])
+def test_step_matches_original_basis_loop(case, budget):
+    # The loop written out in the original basis, with explicit solves and
+    # Gram products, under the penalties admm_solve recorded; every step
+    # must agree, and the eigenbasis copies must not drift from Q^T D, Q^T V.
+    rng = np.random.default_rng(14)
+    h, w_hat = random_problem(rng, 16, 12)
+    if case == "dead_channel":
+        h[3, :] = 0.0
+        h[:, 3] = 0.0
+    if case == "float32":
+        h, w_hat = h.astype(np.float32), w_hat.astype(np.float32)
+    sol = admm_solve(h, w_hat, budget, AdmmConfig(max_iters=40))
+    scaled = preprocess(h, w_hat)
+    cache = eigendecompose(scaled.gram)
+    state = initial_state(scaled, cache, AdmmConfig().rho0)
+    hp = scaled.gram
+    g = hp @ scaled.w_hat
+    d, v = scaled.w_hat.copy(), np.zeros_like(scaled.w_hat)
+    records = sol.trace.records
+    assert len(records) >= 20
+    for t in range(40):
+        # Past the recorded run, keep stepping under the final penalty.
+        rho = records[t].rho if t < len(records) else sol.rho_final
+        if t < len(records):
+            assert records[t].grad_gap == pytest.approx(np.linalg.norm(g - hp @ d), rel=1e-9)
+            assert records[t].hv_norm == pytest.approx(np.linalg.norm(hp @ v), rel=1e-9)
+        w = np.linalg.solve(hp + rho * np.eye(16), g - v + rho * d)
+        d = project(w + v / rho, budget)
+        v = v + rho * (w - d)
+
+        state = admm_step(replace(state, rho=rho), budget)
+        assert np.array_equal(state.d != 0.0, d != 0.0)
+        _assert_rel_close(state.w, w)
+        _assert_rel_close(state.d, d)
+        _assert_rel_close(state.v, v)
+        _assert_rel_close(state.qtd, cache.q.T @ state.d)
+        _assert_rel_close(state.qtv, cache.q.T @ state.v)
+
+
+def test_validation_runs_once_per_solve(monkeypatch):
+    counts = Counter()
+    for name in ("validate_gram", "as_matrix"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            module_name = getattr(module, "__name__", "")
+            if module_name != "l0prune" and not module_name.startswith("l0prune."):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    rng = np.random.default_rng(15)
+    h, w_hat = random_problem(rng, 12, 8)
+    runs = []
+    for cap in (3, 60):
+        counts.clear()
+        sol = admm_solve(h, w_hat, Unstructured(20), AdmmConfig(max_iters=cap))
+        runs.append((sol.iterations, dict(counts)))
+    (short_iters, short), (long_iters, long) = runs
+    assert short_iters == 3 and long_iters > 3 * short_iters
+    assert short["validate_gram"] == 1
+    assert short == long
 
 
 def test_sparse_iterate_feasible_after_every_step():

@@ -60,7 +60,7 @@ BENCH_NAMES = [
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
-    "l0prune.linalg": ["EigenCache", "eigendecompose", "ridge_solve", "validate_gram"],
+    "l0prune.linalg": ["EigenCache", "eigendecompose", "validate_gram"],
     "l0prune.projections": ["project", "project_topk", "project_nm", "support_change"],
 }
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,11 +7,13 @@ from hypothesis import given, strategies as st
 from l0prune import (
     DegenerateInstanceError,
     InvalidInputError,
+    Unstructured,
     gram_from_activations,
     layer_objective,
     relative_error,
 )
-from l0prune.linalg import as_matrix, eigendecompose, ridge_solve, validate_gram
+from l0prune.admm import ScaledProblem, admm_step, initial_state
+from l0prune.linalg import as_matrix, eigendecompose, validate_gram
 
 from conftest import random_psd
 
@@ -127,25 +131,32 @@ def test_eigendecompose_rejects_indefinite():
         eigendecompose(h)
 
 
-# --- ridge_solve ---
+# --- the step's ridge solve ---
+# The dense update of admm_step solves (H + rho I) W = G - V + rho D in the
+# eigenbasis. With zero weights (G = D = 0) and V = -B it solves for B.
+
+
+def step_ridge_solve(h, rho, b):
+    zeros = np.zeros_like(b)
+    scaled = ScaledProblem(np.ones(len(h)), h, zeros, np.zeros(len(h), dtype=bool))
+    cache = eigendecompose(h)
+    state = replace(initial_state(scaled, cache, rho), v=-b, qtv=cache.q.T @ -b)
+    return admm_step(state, Unstructured(b.size)).w
 
 
 def test_ridge_solve_diagonal_arithmetic():
-    cache = eigendecompose(np.diag([1.0, 4.0]))
-    out = ridge_solve(cache, 1.0, np.array([[2.0], [5.0]]))
+    out = step_ridge_solve(np.diag([1.0, 4.0]), 1.0, np.array([[2.0], [5.0]]))
     np.testing.assert_allclose(out, [[1.0], [1.0]], atol=1e-14)
 
 
 def test_ridge_solve_zero_gram_divides_by_rho():
-    cache = eigendecompose(np.zeros((3, 3)))
     b = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_allclose(ridge_solve(cache, 2.0, b), b / 2.0, atol=1e-14)
+    np.testing.assert_allclose(step_ridge_solve(np.zeros((3, 3)), 2.0, b), b / 2.0, atol=1e-14)
 
 
 def test_ridge_solve_rejects_nonpositive_rho():
-    cache = eigendecompose(np.eye(2))
     with pytest.raises(InvalidInputError):
-        ridge_solve(cache, 0.0, np.ones((2, 1)))
+        step_ridge_solve(np.eye(2), 0.0, np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("rho", np.logspace(-4, 8, 7))
@@ -153,7 +164,7 @@ def test_ridge_solve_residual_across_rho_range(rho):
     rng = np.random.default_rng(6)
     h = random_psd(rng, 8)
     b = rng.standard_normal((8, 4))
-    y = ridge_solve(eigendecompose(h), rho, b)
+    y = step_ridge_solve(h, rho, b)
     residual = (h + rho * np.eye(8)) @ y - b
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(b)
 
@@ -163,7 +174,7 @@ def test_ridge_solve_matches_dense_solve():
     h = random_psd(rng, 7)
     b = rng.standard_normal((7, 3))
     expected = np.linalg.solve(h + 0.3 * np.eye(7), b)
-    np.testing.assert_allclose(ridge_solve(eigendecompose(h), 0.3, b), expected, rtol=1e-9)
+    np.testing.assert_allclose(step_ridge_solve(h, 0.3, b), expected, rtol=1e-9)
 
 
 # --- objective and relative error ---
