@@ -8,10 +8,10 @@ iterate D coupled by a dual variable V, alternating
     V <- V + rho (W - D),
 
 on a diagonally rescaled problem. The penalty rho starts small so the
-support can move, and grows on a step schedule driven by how much the
-support of D changed over the last few iterations. Once the support stops
-changing the loop ends and conjugate-gradient refinement solves for the
-optimal weights on the frozen support.
+support can move, and grows on a fixed step schedule driven by how much
+the support of D changed over the last CHECK_PERIOD iterations. Once the
+support stops changing the loop ends, and the polish below first solves
+for the optimal weights on the frozen support by conjugate gradient.
 
 H = Q diag(lambda) Q^T is factored once per solve, and the iterates are
 carried in its eigenbasis too: the state keeps Q^T G, Q^T D and Q^T V
@@ -24,13 +24,13 @@ Q^T V follows V elementwise. Because Q is orthogonal, the trace norms
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
 kept ones, so supports churn until rho freezes one that is not the
-separable optimum. A monotone iterative hard-thresholding polish follows
-the refinement (the local search CHITA runs on this objective). Each
-round takes D' = project(W + H (W_hat - W) / lambda_max), stops when D'
-keeps the current support, refines on the support of D' warm-started
-from D', and keeps the result only if the objective strictly falls. With
-step 1 / lambda_max a round never raises the objective, and at a fixed
-point the polish costs one product and one projection.
+separable optimum. So after its refinement the polish runs monotone
+iterative hard-thresholding rounds (the local search CHITA runs on this
+objective). Each round takes D' = project(W + H (W_hat - W) / lambda_max),
+stops when D' keeps the current support, refines on the support of D'
+warm-started from D', and keeps the result only if the objective strictly
+falls. With step 1 / lambda_max a round never raises the objective, and
+at a fixed point the rounds cost one product and one projection.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
 from .linalg import EigenCache, as_matrix, eigendecompose, validate_gram
-from .pcg import PcgConfig, pcg_refine, support_cg
+from .pcg import PcgConfig, support_cg
 from .projections import (
     SparsityBudget,
     SupportMask,
@@ -57,27 +57,26 @@ from .projections import (
 
 DEAD_DIAG_RTOL = 1e-12
 
+# The reference penalty schedule; rho_update runs every CHECK_PERIOD steps.
+CHECK_PERIOD = 3
+RHO_MULTIPLIERS = (1.3, 1.2, 1.1)
+CHURN_THRESHOLDS = (0.1, 0.005)
+
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Solver knobs. Defaults follow the reference schedule."""
+    """Solver knobs, one per `l0prune prune` flag of the same name.
+
+    max_iters also caps the polish rounds, and pcg_iters every refinement.
+    """
 
     rho0: float = 0.1
-    check_period: int = 3
-    multipliers: tuple[float, float, float] = (1.3, 1.2, 1.1)
-    thresholds: tuple[float, float] = (0.1, 0.005)
     max_iters: int = 300
     pcg_iters: int = 10
 
     def __post_init__(self):
         if not self.rho0 > 0:
             raise InvalidInputError("rho0 must be positive")
-        if self.check_period < 1:
-            raise InvalidInputError("check_period must be at least 1")
-        if len(self.multipliers) != 3 or any(m <= 1.0 for m in self.multipliers):
-            raise InvalidInputError("multipliers must be three factors above 1")
-        if len(self.thresholds) != 2 or not 0 < self.thresholds[1] < self.thresholds[0]:
-            raise InvalidInputError("thresholds must satisfy 0 < low < high")
         if self.max_iters < 1 or self.pcg_iters < 1:
             raise InvalidInputError("iteration caps must be positive")
 
@@ -192,28 +191,23 @@ def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
     )
 
 
-def rho_update(
-    rho: float,
-    s_t: int,
-    k: int,
-    multipliers: tuple[float, float, float] = (1.3, 1.2, 1.1),
-    thresholds: tuple[float, float] = (0.1, 0.005),
-) -> float | None:
+def rho_update(rho: float, s_t: int, k: int) -> float | None:
     """Step-function penalty growth from the support change s_t.
 
-    Large churn relative to the budget k grows rho aggressively, mild
-    churn gently. Returns None when the support did not move at all,
-    which signals the caller to stop iterating.
+    A change of at least CHURN_THRESHOLDS[0] * k entries grows rho by
+    RHO_MULTIPLIERS[0], one of at least [1] * k by [1], a smaller one by
+    [2]. Returns None when the support did not move at all, which signals
+    the caller to stop iterating.
     """
     if s_t < 0:
         raise InvalidInputError("support change cannot be negative")
     if s_t == 0:
         return None
-    if s_t >= thresholds[0] * k:
-        return multipliers[0] * rho
-    if s_t >= thresholds[1] * k:
-        return multipliers[1] * rho
-    return multipliers[2] * rho
+    if s_t >= CHURN_THRESHOLDS[0] * k:
+        return RHO_MULTIPLIERS[0] * rho
+    if s_t >= CHURN_THRESHOLDS[1] * k:
+        return RHO_MULTIPLIERS[1] * rho
+    return RHO_MULTIPLIERS[2] * rho
 
 
 def _frob(a: np.ndarray) -> float:
@@ -224,25 +218,27 @@ def polish(
     scaled: ScaledProblem,
     cache: EigenCache,
     budget: SparsityBudget,
-    w: np.ndarray,
-    mask: np.ndarray,
+    d: np.ndarray,
     cfg: AdmmConfig,
 ) -> tuple[np.ndarray, int, int]:
-    """Monotone hard-thresholding rounds from refined weights w on mask.
+    """Refine on the support of d, then run monotone hard-thresholding rounds.
 
     Works on the rescaled problem, a congruence of the original, so the
-    objectives compared are the real ones. Runs at most cfg.max_iters
-    rounds of cfg.pcg_iters refinement iterations each. Returns the
-    weights, the rounds accepted and the refinement iterations run.
+    objectives compared are the real ones. The refinement starts from d;
+    at most cfg.max_iters rounds follow, and every refinement runs at
+    most cfg.pcg_iters iterations. Returns the weights, the rounds
+    accepted and the refinement iterations run, the first one included.
     """
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / cache.spectral_norm
     pcg_cfg = PcgConfig(max_iters=cfg.pcg_iters)
+    mask = d != 0.0
+    w, cg_iters, _ = support_cg(h, w_hat, mask, d, pcg_cfg)
     # H (W_hat - W) is minus half the objective's gradient.
     delta = w_hat - w
     descent = h @ delta
     objective = float(np.vdot(delta, descent))
-    rounds = cg_iters = 0
+    rounds = 0
     for _ in range(cfg.max_iters):
         d = project(w + step * descent, budget)
         d_mask = d != 0.0
@@ -271,9 +267,9 @@ def admm_solve(
 
     Runs the alternating updates on the rescaled problem until the
     support of D survives a whole check period unchanged (or max_iters is
-    hit, reported via the stabilized flag), refines the weights on the
-    frozen support with conjugate gradient, polishes the support with
-    monotone hard-thresholding rounds, and undoes the scaling. The
+    hit, reported via the stabilized flag), then polishes: refines the
+    weights on the frozen support with conjugate gradient and runs
+    monotone hard-thresholding rounds. Last it undoes the scaling. The
     returned solution carries a per-iteration trace for the convergence
     diagnostics, the polish rounds accepted, and in pcg_iters_used every
     refinement iteration the solve ran, polish rounds included.
@@ -303,7 +299,7 @@ def admm_solve(
         state = admm_step(state, budget)
 
         delta = None
-        boundary = state.iteration % cfg.check_period == 0
+        boundary = state.iteration % CHECK_PERIOD == 0
         if boundary:
             current = mask_support(state.d != 0.0)
             delta = support_change(current, state.prev_support)
@@ -322,34 +318,20 @@ def admm_solve(
             )
         )
         if boundary:
-            new_rho = rho_update(
-                rho_t, delta, k_eff, cfg.multipliers, cfg.thresholds
-            )
+            new_rho = rho_update(rho_t, delta, k_eff)
             if new_rho is None:
                 stabilized = True
                 break
             state = replace(state, rho=new_rho)
 
-    support = mask_support(state.d != 0.0)
-    pcg_stats: dict = {}
-    refined = pcg_refine(
-        scaled.gram,
-        scaled.w_hat,
-        support,
-        state.d,
-        PcgConfig(max_iters=cfg.pcg_iters),
-        stats=pcg_stats,
-    )
-    polished, polish_rounds, polish_iters = polish(
-        scaled, cache, budget, refined, support.mask, cfg
-    )
+    polished, polish_rounds, pcg_iters = polish(scaled, cache, budget, state.d, cfg)
     w = scaled.scale[:, None] * polished
     return build_solution(
         w, h, w_hat, "admm",
         stabilized=stabilized,
         iterations=len(trace.records),
         rho_final=state.rho,
-        pcg_iters_used=pcg_stats["iterations"] + polish_iters,
+        pcg_iters_used=pcg_iters,
         polish_rounds=polish_rounds,
         trace=trace,
     )

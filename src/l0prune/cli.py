@@ -13,7 +13,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,31 +39,6 @@ from .projections import NM, SparsityBudget, Unstructured, support_of
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
-
-
-@dataclass
-class RunReport:
-    """Structured record of one pruning run, serialized as JSON."""
-
-    method: str
-    budget: dict
-    dims: list[int]
-    iterations: int
-    rho_final: float | None
-    stabilized: bool
-    objective: float | None
-    rel_error: float | None
-    support_size: int
-    pcg_iters_used: int
-    polish_rounds: int
-    lemma1_violations: int | None
-    lemma2_violations: int | None
-    theorem1_ratio: float | None
-    runtime_ms: float
-    seed: int | None
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
 
 
 def _parse_nm(text: str) -> NM:
@@ -110,8 +84,8 @@ def _report_for(
     budget_block: dict,
     shape,
     runtime_ms: float,
-    seed: int | None,
-) -> RunReport:
+) -> dict:
+    """One run's JSON report; the file lists its keys in this order."""
     lemma1 = lemma2 = None
     ratio = None
     if solution.trace is not None and solution.trace.records:
@@ -119,34 +93,34 @@ def _report_for(
         lemma2 = len(check_lemma2(solution.trace))
         horizon = max(1000, len(solution.trace.records))
         ratio = theorem1_residual_bound(solution.trace, horizon=horizon).worst_ratio
-    return RunReport(
-        method=method,
-        budget=budget_block,
-        dims=[int(shape[0]), int(shape[1])],
-        iterations=solution.iterations,
-        rho_final=solution.rho_final,
-        stabilized=solution.stabilized,
-        objective=solution.objective,
-        rel_error=solution.rel_error,
-        support_size=solution.support.count,
-        pcg_iters_used=solution.pcg_iters_used,
-        polish_rounds=solution.polish_rounds,
-        lemma1_violations=lemma1,
-        lemma2_violations=lemma2,
-        theorem1_ratio=ratio,
-        runtime_ms=runtime_ms,
-        seed=seed,
-    )
+    return {
+        "method": method,
+        "budget": budget_block,
+        "dims": [int(shape[0]), int(shape[1])],
+        "iterations": solution.iterations,
+        "rho_final": solution.rho_final,
+        "stabilized": solution.stabilized,
+        "objective": solution.objective,
+        "rel_error": solution.rel_error,
+        "support_size": solution.support.count,
+        "pcg_iters_used": solution.pcg_iters_used,
+        "polish_rounds": solution.polish_rounds,
+        "lemma1_violations": lemma1,
+        "lemma2_violations": lemma2,
+        "theorem1_ratio": ratio,
+        "runtime_ms": runtime_ms,
+    }
 
 
-def _emit(report: RunReport, solution: PruneSolution, args) -> None:
+def _emit(report: dict, solution: PruneSolution, args) -> None:
     if args.out:
         write_matrix(args.out, solution.w)
+    text = json.dumps(report, indent=2)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(text + "\n")
     else:
-        print(report.to_json())
+        print(text)
 
 
 def cmd_prune(args) -> int:
@@ -166,7 +140,7 @@ def cmd_prune(args) -> int:
     runtime_ms = (time.perf_counter() - start) * 1000.0
     report = _report_for(
         solution, args.method, _budget_block(budget, w_hat.shape),
-        w_hat.shape, runtime_ms, args.seed,
+        w_hat.shape, runtime_ms,
     )
     _emit(report, solution, args)
     return EXIT_OK
@@ -194,9 +168,7 @@ def cmd_oracle(args) -> int:
         k = args.brute_k
     runtime_ms = (time.perf_counter() - start) * 1000.0
     block = _budget_block(Unstructured(k), w_hat.shape)
-    report = _report_for(
-        solution, solution.method, block, w_hat.shape, runtime_ms, args.seed
-    )
+    report = _report_for(solution, solution.method, block, w_hat.shape, runtime_ms)
     _emit(report, solution, args)
     return EXIT_OK
 
@@ -232,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--rho0", type=float, default=0.1)
     prune.add_argument("--max-iters", type=int, default=300)
     prune.add_argument("--pcg-iters", type=int, default=10)
-    prune.add_argument("--seed", type=int, default=None)
     prune.set_defaults(func=cmd_prune)
 
     evaluate = sub.add_parser("eval", help="relative error of a pruned file")
@@ -255,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument("--out")
     oracle.add_argument("--report")
-    oracle.add_argument("--seed", type=int, default=None)
     oracle.set_defaults(func=cmd_oracle)
 
     gram = sub.add_parser("gram", help="accumulate X^T X from activations")

@@ -8,8 +8,8 @@ makes each iteration two dense matrix products instead of a per-column
 solve.
 
 pcg_refine is the public entry: it checks its arguments once and hands
-them to support_cg, the kernel, which trusts its arrays. The solver's
-polish rounds call the kernel directly on arrays it built itself.
+them to support_cg, the kernel, which trusts its arrays. The solver calls
+the kernel directly, from its polish, on arrays it built itself.
 """
 
 from __future__ import annotations
@@ -22,18 +22,20 @@ from .errors import BreakdownError, InvalidInputError
 from .linalg import as_matrix
 from .projections import SupportMask
 
+# A starting residual at or below this norm counts as converged: no step.
+ABS_FLOOR = 1e-14
+
 
 @dataclass(frozen=True)
 class PcgConfig:
     max_iters: int = 10
     rel_tol: float = 1e-8
-    abs_floor: float = 1e-14
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
-        if self.rel_tol < 0 or self.abs_floor < 0:
-            raise InvalidInputError("tolerances must be nonnegative")
+        if self.rel_tol < 0:
+            raise InvalidInputError("rel_tol must be nonnegative")
 
 
 def pcg_refine(
@@ -42,7 +44,6 @@ def pcg_refine(
     support: SupportMask,
     w0,
     cfg: PcgConfig = PcgConfig(),
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Refine weights on a fixed support toward the restricted optimum.
 
@@ -52,8 +53,7 @@ def pcg_refine(
     w_hat : dense reference weights.
     support : mask the solution must live on.
     w0 : warm start, already supported on the mask.
-    cfg : iteration cap and stopping tolerances.
-    stats : optional dict; receives iterations used and final residual.
+    cfg : iteration cap and relative stopping tolerance.
 
     Returns the refined weights, supported on the mask. Raises
     BreakdownError when curvature along a search direction vanishes while
@@ -70,11 +70,7 @@ def pcg_refine(
     if np.any(w0[~support.mask] != 0.0):
         raise InvalidInputError("warm start has mass outside the support")
 
-    w, iterations, rel_residual = support_cg(h, w_hat, support.mask, w0, cfg)
-    if stats is not None:
-        stats["iterations"] = iterations
-        stats["rel_residual"] = rel_residual
-    return w
+    return support_cg(h, w_hat, support.mask, w0, cfg)[0]
 
 
 def support_cg(
@@ -104,7 +100,7 @@ def support_cg(
     r = h @ (w_hat - w)
     r *= s_f
     r0_norm = float(np.linalg.norm(r))
-    if r0_norm <= cfg.abs_floor:
+    if r0_norm <= ABS_FLOOR:
         return w, 0, 0.0
 
     z = r * m_inv

@@ -37,6 +37,10 @@ class NM:
     m: int
 
     def __post_init__(self):
+        if not all(isinstance(x, (int, np.integer)) for x in (self.n, self.m)):
+            raise InvalidInputError(
+                f"n and m must be integers, got n={self.n!r}, m={self.m!r}"
+            )
         if self.m < 1 or self.n < 1 or self.n > self.m:
             raise InvalidInputError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
 

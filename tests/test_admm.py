@@ -61,9 +61,6 @@ def test_budget_from_sparsity_range_check():
 def test_config_defaults():
     cfg = AdmmConfig()
     assert cfg.rho0 == 0.1
-    assert cfg.check_period == 3
-    assert cfg.multipliers == (1.3, 1.2, 1.1)
-    assert cfg.thresholds == (0.1, 0.005)
     assert cfg.max_iters == 300
     assert cfg.pcg_iters == 10
 
@@ -72,10 +69,6 @@ def test_config_defaults():
     "kwargs",
     [
         {"rho0": 0.0},
-        {"check_period": 0},
-        {"multipliers": (1.3, 1.0, 1.1)},
-        {"multipliers": (1.3, 1.2)},
-        {"thresholds": (0.005, 0.1)},
         {"max_iters": 0},
         {"pcg_iters": 0},
     ],
@@ -267,6 +260,7 @@ def test_validation_runs_once_per_solve(monkeypatch):
     (short_iters, short), (long_iters, long) = runs
     assert short_iters == 3 and long_iters > 3 * short_iters
     assert short["validate_gram"] == 1
+    assert short["as_matrix"] == 7
     assert short == long
 
 
@@ -441,12 +435,10 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
         scaled = preprocess(h, w_hat)
         cache = eigendecompose(scaled.gram)
         mask = budget_mask(np.abs(scaled.w_hat), budget)
-        start = pcg_refine(
-            scaled.gram, scaled.w_hat, mask_support(mask),
-            np.where(mask, scaled.w_hat, 0.0),
-        )
-        w, rounds, cg_iters = polish(scaled, cache, budget, start, mask, AdmmConfig())
-        before = layer_objective(scaled.gram, scaled.w_hat, start)
+        start = np.where(mask, scaled.w_hat, 0.0)
+        w, rounds, cg_iters = polish(scaled, cache, budget, start, AdmmConfig())
+        refined = pcg_refine(scaled.gram, scaled.w_hat, mask_support(mask), start)
+        before = layer_objective(scaled.gram, scaled.w_hat, refined)
         after = layer_objective(scaled.gram, scaled.w_hat, w)
         assert after <= before
         assert (rounds > 0) == (after < before)

@@ -1,10 +1,12 @@
 """The top-level namespace exports the user-facing API and nothing else."""
 
+import dataclasses
 import importlib
 
 import pytest
 
 import l0prune
+from l0prune.cli import build_parser
 
 PUBLIC_API = [
     "AdmmConfig",
@@ -74,6 +76,17 @@ def test_all_is_the_public_api():
 def test_bench_names_stay_top_level():
     for name in BENCH_NAMES:
         assert name in l0prune.__all__ and hasattr(l0prune, name), name
+
+
+def test_every_solver_setting_is_a_prune_flag():
+    args = build_parser().parse_args(["prune", "--weights", "w", "--gram", "h", "--k", "1"])
+    not_solver = {"command", "func", "weights", "gram", "activations", "sparsity",
+                  "nm", "k", "method", "out", "report"}
+    flags = {name: value for name, value in vars(args).items() if name not in not_solver}
+    assert flags == dataclasses.asdict(l0prune.AdmmConfig())
+    assert [f.name for f in dataclasses.fields(l0prune.AdmmConfig)] == [
+        "rho0", "max_iters", "pcg_iters"
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(INTERNALS))

@@ -70,6 +70,21 @@ def test_prune_writes_report_and_budgeted_weights(workspace):
     assert np.count_nonzero(pruned) == 30
 
 
+def test_prune_report_keys_in_order(workspace):
+    # bench/run.py and other readers parse this file; keep its keys stable.
+    paths, _, _ = workspace
+    assert run(
+        "prune", "--weights", paths["weights"], "--gram", paths["gram"],
+        "--k", 30, "--report", paths["report"],
+    ) == 0
+    assert list(json.loads(paths["report"].read_text())) == [
+        "method", "budget", "dims", "iterations", "rho_final", "stabilized",
+        "objective", "rel_error", "support_size", "pcg_iters_used",
+        "polish_rounds", "lemma1_violations", "lemma2_violations",
+        "theorem1_ratio", "runtime_ms",
+    ]
+
+
 def test_prune_report_counts_polish_rounds(tmp_path):
     rng = np.random.default_rng(300)
     h = np.diag(rng.uniform(0.1, 10.0, 32))
@@ -106,7 +121,6 @@ def test_prune_report_goes_to_stdout_without_flag(workspace, capsys):
     ) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["support_size"] == 12
-    assert report["seed"] is None
 
 
 def test_prune_accepts_activations_directly(workspace):
@@ -157,7 +171,7 @@ def test_seeded_runs_reproduce_report_fields(workspace):
     paths, _, _ = workspace
     args = (
         "prune", "--weights", paths["weights"], "--gram", paths["gram"],
-        "--k", 33, "--seed", 7, "--report", paths["report"],
+        "--k", 33, "--report", paths["report"],
     )
     run(*args)
     first = json.loads(paths["report"].read_text())
@@ -165,7 +179,6 @@ def test_seeded_runs_reproduce_report_fields(workspace):
     second = json.loads(paths["report"].read_text())
     assert first["objective"] == second["objective"]
     assert first["support_size"] == second["support_size"]
-    assert first["seed"] == 7
 
 
 def test_eval_prints_six_decimals(workspace, capsys):

@@ -12,6 +12,7 @@ from l0prune import (
     pcg_refine,
     support_of,
 )
+from l0prune.pcg import support_cg
 
 from conftest import random_problem
 
@@ -23,19 +24,17 @@ def mp_support(w_hat, k):
 def test_identity_gram_full_support_converges_in_one_step():
     rng = np.random.default_rng(0)
     w_hat = rng.standard_normal((5, 3))
-    stats = {}
-    out = pcg_refine(np.eye(5), w_hat, support_of(np.ones((5, 3))), np.zeros((5, 3)), stats=stats)
+    mask = np.ones((5, 3), dtype=bool)
+    out, iterations, _ = support_cg(np.eye(5), w_hat, mask, np.zeros((5, 3)), PcgConfig())
     np.testing.assert_allclose(out, w_hat, atol=1e-12)
-    assert stats["iterations"] == 1
+    assert iterations == 1
 
 
 def test_empty_support_returns_warm_start_untouched():
-    stats = {}
-    out = pcg_refine(
-        np.eye(3), np.ones((3, 2)), support_of(np.zeros((3, 2))), np.zeros((3, 2)), stats=stats
-    )
+    mask = np.zeros((3, 2), dtype=bool)
+    out, iterations, _ = support_cg(np.eye(3), np.ones((3, 2)), mask, np.zeros((3, 2)), PcgConfig())
     assert not out.any()
-    assert stats["iterations"] == 0
+    assert iterations == 0
 
 
 def test_config_validation():
@@ -113,10 +112,9 @@ def test_exact_warm_start_returns_immediately():
     h, w_hat = random_problem(rng, 5, 2)
     support = mp_support(w_hat, 6)
     exact = backsolve_exact(h, w_hat, support)
-    stats = {}
-    out = pcg_refine(h, w_hat, support, exact, stats=stats)
+    out, iterations, _ = support_cg(h, w_hat, support.mask, exact, PcgConfig())
     # The residual starts at rounding level, so no meaningful work happens.
-    assert stats["iterations"] <= 1
+    assert iterations <= 1
     np.testing.assert_allclose(out, exact, atol=1e-10)
 
 
@@ -142,6 +140,7 @@ def test_stats_report_final_relative_residual():
     rng = np.random.default_rng(7)
     h, w_hat = random_problem(rng, 6, 3)
     support = mp_support(w_hat, 9)
-    stats = {}
-    pcg_refine(h, w_hat, support, np.zeros_like(w_hat), PcgConfig(max_iters=36), stats=stats)
-    assert stats["rel_residual"] <= 1e-8
+    _, _, rel_residual = support_cg(
+        h, w_hat, support.mask, np.zeros_like(w_hat), PcgConfig(max_iters=36)
+    )
+    assert rel_residual <= 1e-8

@@ -40,7 +40,7 @@ def test_unstructured_rejects_negative_k():
         Unstructured(-1)
 
 
-@pytest.mark.parametrize("n,m", [(0, 4), (3, 2), (2, 0)])
+@pytest.mark.parametrize("n,m", [(0, 4), (3, 2), (2, 0), (2.0, 4), (2, 4.0)])
 def test_nm_rejects_bad_groups(n, m):
     with pytest.raises(InvalidInputError):
         NM(n, m)
