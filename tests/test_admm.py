@@ -69,6 +69,10 @@ def test_config_defaults():
     "kwargs",
     [
         {"rho0": 0.0},
+        {"rho0": -1.0},
+        {"rho0": float("nan")},
+        {"max_iters": -1},
+        {"pcg_iters": -1},
         {"max_iters": 0},
         {"pcg_iters": 0},
     ],
