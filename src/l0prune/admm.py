@@ -19,7 +19,13 @@ next to W, D and V. The ridge solve is then a division by lambda + rho,
 and an iteration costs two dense products, W = Q (Q^T W) and Q^T D;
 Q^T V follows V elementwise. Because Q is orthogonal, the trace norms
 ||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
-||diag(lambda) Q^T V|| need no product at all.
+||diag(lambda) Q^T V|| need no product at all, and each record's
+||D|| and ||V|| before the step are the previous record's after it,
+carried over rather than recomputed.
+
+The loop runs in iterate, which hands only D and rho back: W, V and the
+eigenbasis copies die on its return, so they do not stay alive through
+the polish and set the solve's memory peak.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -257,6 +263,68 @@ def polish(
     return w, rounds, cg_iters
 
 
+def iterate(
+    scaled: ScaledProblem,
+    cache: EigenCache,
+    budget: SparsityBudget,
+    cfg: AdmmConfig,
+    k_eff: int,
+) -> tuple[np.ndarray, float, bool, IterTrace]:
+    """Run the alternating updates until the support freezes or max_iters.
+
+    Returns D, the final rho, whether the support froze, and the trace.
+    Only D outlives the call: the other iterates die on return, so they
+    do not add to the memory peak of the polish that follows.
+    """
+    state = initial_state(scaled, cache, cfg.rho0)
+    trace = IterTrace(
+        records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.qtg)
+    )
+    lam = cache.eigenvalues[:, None]
+    lam_sq = cache.eigenvalues**2
+    # Each step's post-step norms of D and V are the next record's pre-step ones.
+    d_norm, v_norm = _frob(state.d), _frob(state.v)
+
+    stabilized = False
+    while state.iteration < cfg.max_iters:
+        rho_t = state.rho
+        d_prev = state.d
+        grad_gap = _frob(state.qtg - lam * state.qtd)
+        # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
+        hv_norm = math.sqrt(lam_sq @ np.einsum("ij,ij->i", state.qtv, state.qtv))
+
+        state = admm_step(state, budget)
+
+        delta = None
+        boundary = state.iteration % CHECK_PERIOD == 0
+        if boundary:
+            current = mask_support(state.d != 0.0)
+            delta = support_change(current, state.prev_support)
+            state = replace(state, prev_support=current)
+        v_next_norm = _frob(state.v)
+        trace.records.append(
+            IterRecord(
+                rho=rho_t,
+                d_norm=d_norm,
+                v_norm=v_norm,
+                grad_gap=grad_gap,
+                hv_norm=hv_norm,
+                v_next_norm=v_next_norm,
+                d_change=_frob(state.d - d_prev),
+                wd_gap=_frob(state.w - state.d),
+                support_change=delta,
+            )
+        )
+        d_norm, v_norm = _frob(state.d), v_next_norm
+        if boundary:
+            new_rho = rho_update(rho_t, delta, k_eff)
+            if new_rho is None:
+                stabilized = True
+                break
+            state = replace(state, rho=new_rho)
+    return state.d, state.rho, stabilized, trace
+
+
 def admm_solve(
     h,
     w_hat,
@@ -279,58 +347,14 @@ def admm_solve(
     k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
     cache = eigendecompose(scaled.gram)
-    state = initial_state(scaled, cache, cfg.rho0)
-    trace = IterTrace(
-        records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.qtg)
-    )
-    lam = cache.eigenvalues[:, None]
-    lam_sq = cache.eigenvalues**2
-
-    stabilized = False
-    while state.iteration < cfg.max_iters:
-        rho_t = state.rho
-        d_prev = state.d
-        d_norm = _frob(d_prev)
-        v_norm = _frob(state.v)
-        grad_gap = _frob(state.qtg - lam * state.qtd)
-        # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
-        hv_norm = math.sqrt(lam_sq @ np.einsum("ij,ij->i", state.qtv, state.qtv))
-
-        state = admm_step(state, budget)
-
-        delta = None
-        boundary = state.iteration % CHECK_PERIOD == 0
-        if boundary:
-            current = mask_support(state.d != 0.0)
-            delta = support_change(current, state.prev_support)
-            state = replace(state, prev_support=current)
-        trace.records.append(
-            IterRecord(
-                rho=rho_t,
-                d_norm=d_norm,
-                v_norm=v_norm,
-                grad_gap=grad_gap,
-                hv_norm=hv_norm,
-                v_next_norm=_frob(state.v),
-                d_change=_frob(state.d - d_prev),
-                wd_gap=_frob(state.w - state.d),
-                support_change=delta,
-            )
-        )
-        if boundary:
-            new_rho = rho_update(rho_t, delta, k_eff)
-            if new_rho is None:
-                stabilized = True
-                break
-            state = replace(state, rho=new_rho)
-
-    polished, polish_rounds, pcg_iters = polish(scaled, cache, budget, state.d, cfg)
+    d, rho_final, stabilized, trace = iterate(scaled, cache, budget, cfg, k_eff)
+    polished, polish_rounds, pcg_iters = polish(scaled, cache, budget, d, cfg)
     w = scaled.scale[:, None] * polished
     return build_solution(
         w, h, w_hat, "admm",
         stabilized=stabilized,
         iterations=len(trace.records),
-        rho_final=state.rho,
+        rho_final=rho_final,
         pcg_iters_used=pcg_iters,
         polish_rounds=polish_rounds,
         trace=trace,

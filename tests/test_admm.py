@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -18,7 +20,7 @@ from l0prune import (
     layer_objective,
     pcg_refine,
 )
-from l0prune import linalg
+from l0prune import admm, linalg
 from l0prune.admm import (
     ScaledProblem,
     admm_step,
@@ -222,11 +224,22 @@ def test_step_matches_original_basis_loop(case, budget):
         # Past the recorded run, keep stepping under the final penalty.
         rho = records[t].rho if t < len(records) else sol.rho_final
         if t < len(records):
-            assert records[t].grad_gap == pytest.approx(np.linalg.norm(g - hp @ d), rel=1e-9)
-            assert records[t].hv_norm == pytest.approx(np.linalg.norm(hp @ v), rel=1e-9)
+            record = records[t]
+            assert record.d_norm == pytest.approx(np.linalg.norm(d), rel=1e-9)
+            assert record.v_norm == pytest.approx(np.linalg.norm(v), rel=1e-9)
+            assert record.grad_gap == pytest.approx(np.linalg.norm(g - hp @ d), rel=1e-9)
+            assert record.hv_norm == pytest.approx(np.linalg.norm(hp @ v), rel=1e-9)
+            if t + 1 < len(records):
+                # Carried over, not recomputed: exactly the same float.
+                assert records[t + 1].v_norm == record.v_next_norm
+        d_prev = d
         w = np.linalg.solve(hp + rho * np.eye(16), g - v + rho * d)
         d = project(w + v / rho, budget)
         v = v + rho * (w - d)
+        if t < len(records):
+            assert record.v_next_norm == pytest.approx(np.linalg.norm(v), rel=1e-9)
+            assert record.d_change == pytest.approx(np.linalg.norm(d - d_prev), rel=1e-9)
+            assert record.wd_gap == pytest.approx(np.linalg.norm(w - d), rel=1e-9)
 
         state = admm_step(replace(state, rho=rho), budget)
         assert np.array_equal(state.d != 0.0, d != 0.0)
@@ -450,3 +463,37 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
         assert np.count_nonzero(w) <= budget.k
         accepted += rounds > 0
     assert accepted > 0  # magnitude supports are rarely hard-thresholding fixed points
+
+
+def test_polish_runs_without_loop_iterates(monkeypatch):
+    # The loop's iterates must not stay alive through the polish, where
+    # they would set the solve's memory peak; only D is handed over.
+    states = []
+
+    def tracked(fn):
+        def wrapper(*args, **kwargs):
+            state = fn(*args, **kwargs)
+            states.append(weakref.ref(state))
+            return state
+
+        return wrapper
+
+    entries = []
+
+    def checked_polish(*args, **kwargs):
+        gc.collect()
+        entries.append([ref() is None for ref in states])
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "initial_state", tracked(initial_state))
+    monkeypatch.setattr(admm, "admm_step", tracked(admm_step))
+    monkeypatch.setattr(admm, "polish", checked_polish)
+    rng = np.random.default_rng(16)
+    h, w_hat = random_problem(rng, 12, 8)
+    # One solve stops on a frozen support, at a check boundary; one stops
+    # at max_iters = 4, between boundaries.
+    for cfg in (AdmmConfig(), AdmmConfig(max_iters=4)):
+        states.clear()
+        admm_solve(h, w_hat, Unstructured(30), cfg)
+        assert len(states) > 1
+        assert all(entries.pop())

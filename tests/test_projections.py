@@ -6,9 +6,12 @@ from hypothesis import given, strategies as st
 
 from l0prune import NM, InvalidInputError, Unstructured, support_of
 from l0prune.projections import (
+    NM_RANK_MAX_M,
     budget_size,
     check_budget,
     nm_mask,
+    nm_rank_mask,
+    nm_sort_mask,
     project,
     project_nm,
     project_topk,
@@ -165,6 +168,51 @@ def test_nm_idempotent_and_feasible(seed, n):
     np.testing.assert_array_equal(project_nm(out, n, m), out)
     groups = out.reshape(2, m, 2)
     assert (np.count_nonzero(groups, axis=1) <= n).all()
+
+
+def reference_nm_mask(scores, n, m):
+    """Top n of each group by a stable argsort, one group at a time."""
+    mask = np.zeros(scores.shape, dtype=bool)
+    for start in range(0, scores.shape[0], m):
+        for col in range(scores.shape[1]):
+            order = np.argsort(-scores[start : start + m, col], kind="stable")
+            mask[start + order[:n], col] = True
+    return mask
+
+
+def assert_nm_kernels_match_reference(scores, n, m):
+    expected = reference_nm_mask(scores, n, m)
+    grouped = scores.reshape(-1, m, scores.shape[1])
+    np.testing.assert_array_equal(nm_mask(scores, n, m), expected)
+    for kernel in (nm_rank_mask, nm_sort_mask):
+        np.testing.assert_array_equal(kernel(grouped, n).reshape(scores.shape), expected)
+
+
+@st.composite
+def nm_case(draw):
+    # Group sizes on both sides of NM_RANK_MAX_M (the test below asserts
+    # that they straddle it); small integer scores make ties common.
+    m = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 33, 64, 65]))
+    n = draw(st.integers(1, m))
+    rows = m * draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    vals = draw(st.lists(st.integers(0, 4), min_size=rows * cols, max_size=rows * cols))
+    return np.array(vals, dtype=float).reshape(rows, cols), n, m
+
+
+@given(nm_case())
+def test_nm_mask_matches_stable_argsort(case):
+    assert NM_RANK_MAX_M in range(33, 65)
+    assert_nm_kernels_match_reference(*case)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+def test_nm_mask_rank_counter_holds_large_groups(m):
+    # The rank counter is sized to m: uint8 up to 255, uint16 from 256.
+    rng = np.random.default_rng(m)
+    scores = rng.integers(0, 6, size=(2 * m, 3)).astype(float)
+    for n in (1, m // 2, m - 1, m):
+        assert_nm_kernels_match_reference(scores, n, m)
 
 
 def test_nm_mask_keeps_exactly_n_per_group():
