@@ -20,12 +20,11 @@ and an iteration costs two dense products, W = Q (Q^T W) and Q^T D;
 Q^T V follows V elementwise. Because Q is orthogonal, the trace norms
 ||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
 ||diag(lambda) Q^T V|| need no product at all, and each record's
-||D|| and ||V|| before the step are the previous record's after it,
-carried over rather than recomputed.
+||V|| before the step is the previous record's after it, carried over
+rather than recomputed.
 
-The loop runs in iterate, which hands only D and rho back: W, V and the
-eigenbasis copies die on its return, so they do not stay alive through
-the polish and set the solve's memory peak.
+Only D and rho outlive the loop: W, V and the eigenbasis copies are
+released before the polish, so they do not set the solve's memory peak.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -263,32 +262,42 @@ def polish(
     return w, rounds, cg_iters
 
 
-def iterate(
-    scaled: ScaledProblem,
-    cache: EigenCache,
+def admm_solve(
+    h,
+    w_hat,
     budget: SparsityBudget,
-    cfg: AdmmConfig,
-    k_eff: int,
-) -> tuple[np.ndarray, float, bool, IterTrace]:
-    """Run the alternating updates until the support freezes or max_iters.
+    cfg: AdmmConfig = AdmmConfig(),
+) -> PruneSolution:
+    """Solve the layer pruning problem under a sparsity budget.
 
-    Returns D, the final rho, whether the support froze, and the trace.
-    Only D outlives the call: the other iterates die on return, so they
-    do not add to the memory peak of the polish that follows.
+    Runs the alternating updates on the rescaled problem until the
+    support of D survives a whole check period unchanged (or max_iters is
+    hit, reported via the stabilized flag), then polishes: refines the
+    weights on the frozen support with conjugate gradient and runs
+    monotone hard-thresholding rounds. Last it undoes the scaling. The
+    returned solution carries a per-iteration trace for the convergence
+    diagnostics, the polish rounds accepted, and in pcg_iters_used every
+    refinement iteration the solve ran, polish rounds included.
     """
+    w_hat = as_matrix(w_hat, "dense weights")
+    # Checks the budget before any Gram work; preprocess validates the Gram.
+    k_eff = budget_size(budget, w_hat.shape)
+    scaled = preprocess(h, w_hat)
+    cache = eigendecompose(scaled.gram)
     state = initial_state(scaled, cache, cfg.rho0)
     trace = IterTrace(
         records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.qtg)
     )
     lam = cache.eigenvalues[:, None]
     lam_sq = cache.eigenvalues**2
-    # Each step's post-step norms of D and V are the next record's pre-step ones.
-    d_norm, v_norm = _frob(state.d), _frob(state.v)
+    # Each step's post-step ||V|| is the next record's pre-step one.
+    v_norm = _frob(state.v)
 
     stabilized = False
     while state.iteration < cfg.max_iters:
         rho_t = state.rho
         d_prev = state.d
+        d_norm = _frob(d_prev)
         grad_gap = _frob(state.qtg - lam * state.qtd)
         # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
         hv_norm = math.sqrt(lam_sq @ np.einsum("ij,ij->i", state.qtv, state.qtv))
@@ -315,39 +324,18 @@ def iterate(
                 support_change=delta,
             )
         )
-        d_norm, v_norm = _frob(state.d), v_next_norm
+        v_norm = v_next_norm
         if boundary:
             new_rho = rho_update(rho_t, delta, k_eff)
             if new_rho is None:
                 stabilized = True
                 break
             state = replace(state, rho=new_rho)
-    return state.d, state.rho, stabilized, trace
 
-
-def admm_solve(
-    h,
-    w_hat,
-    budget: SparsityBudget,
-    cfg: AdmmConfig = AdmmConfig(),
-) -> PruneSolution:
-    """Solve the layer pruning problem under a sparsity budget.
-
-    Runs the alternating updates on the rescaled problem until the
-    support of D survives a whole check period unchanged (or max_iters is
-    hit, reported via the stabilized flag), then polishes: refines the
-    weights on the frozen support with conjugate gradient and runs
-    monotone hard-thresholding rounds. Last it undoes the scaling. The
-    returned solution carries a per-iteration trace for the convergence
-    diagnostics, the polish rounds accepted, and in pcg_iters_used every
-    refinement iteration the solve ran, polish rounds included.
-    """
-    w_hat = as_matrix(w_hat, "dense weights")
-    # Checks the budget before any Gram work; preprocess validates the Gram.
-    k_eff = budget_size(budget, w_hat.shape)
-    scaled = preprocess(h, w_hat)
-    cache = eigendecompose(scaled.gram)
-    d, rho_final, stabilized, trace = iterate(scaled, cache, budget, cfg, k_eff)
+    # Only D goes on: W, V and the eigenbasis copies must not stay alive
+    # through the polish, where they would set the solve's memory peak.
+    d, rho_final = state.d, state.rho
+    del state, d_prev
     polished, polish_rounds, pcg_iters = polish(scaled, cache, budget, d, cfg)
     w = scaled.scale[:, None] * polished
     return build_solution(

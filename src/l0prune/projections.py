@@ -119,55 +119,34 @@ def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return mask.reshape(scores.shape)
 
 
-# Largest group size m for which nm_mask counts ranks rather than sorting.
-# Measured on a 2-CPU box at half:m, best of 5 (ms, rank count against
-# stable argsort): 1024x1024 m=64 34 vs 54, m=128 63 vs 68, m=256 137 vs
-# 74; 2048x256 m=64 16 vs 20, m=128 32 vs 25.
-NM_RANK_MAX_M = 64
-
-
 def nm_mask(scores: np.ndarray, n: int, m: int) -> np.ndarray:
     """Per-group top-n mask over groups of m consecutive rows per column.
 
-    Ties go to the smaller row, as everywhere in this module. For m up to
-    NM_RANK_MAX_M each entry's rank in its group is counted from the
-    m (m - 1) / 2 pairwise comparisons, in m - 1 vectorized passes, and
-    the entries ranked below n are kept; under 2:4 that is about 10x
-    faster than the stable argsort used for larger m, where the quadratic
-    count loses (see NM_RANK_MAX_M).
+    Ties go to the smaller row, as everywhere in this module. Each entry's
+    rank in its group, rank_i = #{j : s_j > s_i} + #{j < i : s_j = s_i},
+    is counted from the m (m - 1) / 2 pairwise comparisons and the entries
+    ranked below n are kept: each pair i < j adds one to rank_i if
+    s_j > s_i and to rank_j otherwise. So rank_j starts at j, and pass i
+    moves one from rank_j to rank_i for every j > i with s_j > s_i. Counts
+    stay in [0, m - 1], so an unsigned counter sized to m suffices.
+
+    The m - 1 passes are vectorized over all groups, so an entry costs
+    (m - 1) / 2 comparisons. That suits the small groups of hardware n:m
+    patterns: measured on a 2-CPU box against a per-group stable argsort
+    (best of 5-20, half:m), 0.9 vs 11.8 ms under 2:4 at 384x1024, and at
+    1024x1024 2.5 vs 28 ms (m = 4), 37 vs 49 ms (m = 64), 64 vs 59 ms
+    (m = 128) and 156 vs 72 ms (m = 256), where the argsort's O(log m)
+    per entry wins.
     """
     n_in, n_out = scores.shape
     grouped = scores.reshape(n_in // m, m, n_out)
-    kernel = nm_rank_mask if m <= NM_RANK_MAX_M else nm_sort_mask
-    return kernel(grouped, n).reshape(n_in, n_out)
-
-
-def nm_rank_mask(grouped: np.ndarray, n: int) -> np.ndarray:
-    """Top-n mask along axis 1 of (groups, m, columns) scores by rank counting.
-
-    rank_i = #{j : s_j > s_i} + #{j < i : s_j = s_i}: each pair i < j
-    adds one to rank_i if s_j > s_i and to rank_j otherwise. So rank_j
-    starts at j, and each pass i moves one from rank_j to rank_i for every
-    j > i with s_j > s_i. Counts stay in [0, m - 1] throughout, so an
-    unsigned counter sized to m suffices.
-    """
-    m = grouped.shape[1]
     rank = np.empty(grouped.shape, dtype=np.min_scalar_type(m))
     rank[...] = np.arange(m, dtype=rank.dtype)[:, None]
     for i in range(m - 1):
         beats = grouped[:, i + 1 :] > grouped[:, i : i + 1]
         rank[:, i] += beats.sum(axis=1, dtype=rank.dtype)
         rank[:, i + 1 :] -= beats
-    return rank < n
-
-
-def nm_sort_mask(grouped: np.ndarray, n: int) -> np.ndarray:
-    """Top-n mask along axis 1 of (groups, m, columns) scores by stable argsort."""
-    # Stable sort on negated scores keeps equal values in index order.
-    order = np.argsort(-grouped, axis=1, kind="stable")
-    mask = np.zeros_like(grouped, dtype=bool)
-    np.put_along_axis(mask, order[:, :n, :], True, axis=1)
-    return mask
+    return (rank < n).reshape(n_in, n_out)
 
 
 def budget_mask(scores: np.ndarray, budget: SparsityBudget) -> np.ndarray:

@@ -467,23 +467,27 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
 
 def test_polish_runs_without_loop_iterates(monkeypatch):
     # The loop's iterates must not stay alive through the polish, where
-    # they would set the solve's memory peak; only D is handed over.
-    states = []
+    # they would set the solve's memory peak; only the last D is handed over.
+    states, ds = [], []
 
     def tracked(fn):
         def wrapper(*args, **kwargs):
             state = fn(*args, **kwargs)
             states.append(weakref.ref(state))
+            ds.append(weakref.ref(state.d))
             return state
 
         return wrapper
 
     entries = []
 
-    def checked_polish(*args, **kwargs):
+    def checked_polish(scaled, cache, budget, d, cfg):
         gc.collect()
-        entries.append([ref() is None for ref in states])
-        return polish(*args, **kwargs)
+        entries.append(
+            [ref() is None for ref in states]
+            + [ref() is None or ref() is d for ref in ds]
+        )
+        return polish(scaled, cache, budget, d, cfg)
 
     monkeypatch.setattr(admm, "initial_state", tracked(initial_state))
     monkeypatch.setattr(admm, "admm_step", tracked(admm_step))
@@ -494,6 +498,7 @@ def test_polish_runs_without_loop_iterates(monkeypatch):
     # at max_iters = 4, between boundaries.
     for cfg in (AdmmConfig(), AdmmConfig(max_iters=4)):
         states.clear()
+        ds.clear()
         admm_solve(h, w_hat, Unstructured(30), cfg)
         assert len(states) > 1
         assert all(entries.pop())

@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 
 from l0prune import NM, InvalidInputError, Unstructured, support_of
 from l0prune.projections import (
-    NM_RANK_MAX_M,
     budget_size,
     check_budget,
     nm_mask,
-    nm_rank_mask,
-    nm_sort_mask,
     project,
     project_nm,
     project_topk,
@@ -180,19 +177,10 @@ def reference_nm_mask(scores, n, m):
     return mask
 
 
-def assert_nm_kernels_match_reference(scores, n, m):
-    expected = reference_nm_mask(scores, n, m)
-    grouped = scores.reshape(-1, m, scores.shape[1])
-    np.testing.assert_array_equal(nm_mask(scores, n, m), expected)
-    for kernel in (nm_rank_mask, nm_sort_mask):
-        np.testing.assert_array_equal(kernel(grouped, n).reshape(scores.shape), expected)
-
-
 @st.composite
 def nm_case(draw):
-    # Group sizes on both sides of NM_RANK_MAX_M (the test below asserts
-    # that they straddle it); small integer scores make ties common.
-    m = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 33, 64, 65]))
+    # Small integer scores make ties common.
+    m = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 33, 64]))
     n = draw(st.integers(1, m))
     rows = m * draw(st.integers(1, 3))
     cols = draw(st.integers(1, 3))
@@ -202,17 +190,18 @@ def nm_case(draw):
 
 @given(nm_case())
 def test_nm_mask_matches_stable_argsort(case):
-    assert NM_RANK_MAX_M in range(33, 65)
-    assert_nm_kernels_match_reference(*case)
+    scores, n, m = case
+    np.testing.assert_array_equal(nm_mask(scores, n, m), reference_nm_mask(scores, n, m))
 
 
 @pytest.mark.parametrize("m", [255, 256, 257])
 def test_nm_mask_rank_counter_holds_large_groups(m):
-    # The rank counter is sized to m: uint8 up to 255, uint16 from 256.
+    # Ranks reach m - 1, so a uint8 counter holds groups up to m = 256
+    # and m = 257 needs a wider one.
     rng = np.random.default_rng(m)
     scores = rng.integers(0, 6, size=(2 * m, 3)).astype(float)
     for n in (1, m // 2, m - 1, m):
-        assert_nm_kernels_match_reference(scores, n, m)
+        np.testing.assert_array_equal(nm_mask(scores, n, m), reference_nm_mask(scores, n, m))
 
 
 def test_nm_mask_keeps_exactly_n_per_group():
