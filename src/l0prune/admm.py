@@ -19,12 +19,21 @@ next to W, D and V. The ridge solve is then a division by lambda + rho,
 and an iteration costs two dense products, W = Q (Q^T W) and Q^T D;
 Q^T V follows V elementwise. Because Q is orthogonal, the trace norms
 ||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
-||diag(lambda) Q^T V|| need no product at all, and each record's
-||V|| before the step is the previous record's after it, carried over
-rather than recomputed.
+||diag(lambda) Q^T V|| need no product at all.
 
-Only D and rho outlive the loop: W, V and the eigenbasis copies are
-released before the polish, so they do not set the solve's memory peak.
+The step runs in place, in eight n x m buffers allocated once per solve:
+W, D, V, the three eigenbasis copies, Q^T W, and a spare D. W + V / rho
+goes into the Q^T D buffer, stale until Q^T D is recomputed; the new D is
+projected into the spare, D - D_prev overwrites D_prev, whose buffer
+then holds W - D for the dual update, and D and the spare swap. So
+||D - D_prev|| and ||W - D|| come from differences the step forms anyway,
+and ||D||, ||V||, ||G - H D|| and ||H V|| are taken once after each step
+and carried into the next record as its pre-step norms. Through the loop
+a solve holds these buffers, the scaled W_hat and Gram, Q, and during a
+top-k projection the copy np.partition reorders. Only D and rho outlive
+the loop: the other buffers and Q are released before the polish, which
+reads only the Gram's spectral norm, so they do not set the solve's
+memory peak.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -41,7 +50,7 @@ at a fixed point the rounds cost one product and one projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,11 +148,14 @@ def preprocess(h, w_hat) -> ScaledProblem:
     return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled, dead=dead)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class AdmmState:
-    """One solve's iterates; created by initial_state, advanced by admm_step.
+    """One solve's iterates and work buffers, advanced in place by admm_step.
 
-    qtg, qtd and qtv are Q^T G, Q^T D and Q^T V in the eigenbasis of cache.
+    qtg, qtd and qtv are Q^T G, Q^T D and Q^T V in the eigenbasis of cache;
+    spare and qtw are work buffers of the same shape, which the step
+    overwrites. d_change (||D - D_prev||) and wd_gap (||W - D||) are the
+    last step's, None before the first.
     """
 
     w: np.ndarray
@@ -152,10 +164,14 @@ class AdmmState:
     qtg: np.ndarray
     qtd: np.ndarray
     qtv: np.ndarray
+    spare: np.ndarray
+    qtw: np.ndarray
     rho: float
     iteration: int
     prev_support: SupportMask
     cache: EigenCache
+    d_change: float | None = None
+    wd_gap: float | None = None
 
 
 def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> AdmmState:
@@ -172,6 +188,8 @@ def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> Admm
         qtg=cache.eigenvalues[:, None] * qtd,
         qtd=qtd,
         qtv=np.zeros_like(w_hat),
+        spare=np.empty_like(w_hat),
+        qtw=np.empty_like(w_hat),
         rho=rho0,
         iteration=0,
         prev_support=mask_support(w_hat != 0.0),
@@ -180,20 +198,38 @@ def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> Admm
 
 
 def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
-    """Advance W, D, V one iteration, in that order, under one rho."""
+    """Advance W, D, V one iteration in place, under one rho; returns state.
+
+    Results go into the state's buffers, but every operation and its
+    operand order match the allocating expressions, such as
+    V + rho (W - D), so the iterates are the same bit for bit.
+    """
     rho, q = state.rho, state.cache.q
+    w, d, v, spare, qtw = state.w, state.d, state.v, state.spare, state.qtw
     # (H + rho I) W = G - V + rho D is diagonal in the eigenbasis.
-    qtw = state.qtg - state.qtv + rho * state.qtd
+    np.subtract(state.qtg, state.qtv, out=qtw)
+    qtw += np.multiply(state.qtd, rho, out=spare)
     qtw /= (state.cache.eigenvalues + rho)[:, None]
-    w = q @ qtw
-    d = project(w + state.v / rho, budget)
-    v = state.v + rho * (w - d)
-    qtd = q.T @ d
+    np.matmul(q, qtw, out=w)
+    # Q^T D is stale from here until it is recomputed, so it holds
+    # W + V / rho, and the new D goes into spare.
+    a = np.divide(v, rho, out=state.qtd)
+    a += w
+    d_next = project(a, budget, out=spare)
+    # D - D_prev overwrites D_prev, then W - D reuses its buffer for V.
+    state.d_change = _frob(np.subtract(d_next, d, out=d))
+    gap = np.subtract(w, d_next, out=d)
+    state.wd_gap = _frob(gap)
+    gap *= rho
+    v += gap
+    np.matmul(q.T, d_next, out=state.qtd)
     # Q^T V follows V + rho (W - D) without a product, since Q^T W is qtw.
-    qtv = state.qtv + rho * (qtw - qtd)
-    return replace(
-        state, w=w, d=d, v=v, qtd=qtd, qtv=qtv, iteration=state.iteration + 1
-    )
+    qtw -= state.qtd
+    qtw *= rho
+    state.qtv += qtw
+    state.d, state.spare = d_next, d
+    state.iteration += 1
+    return state
 
 
 def rho_update(rho: float, s_t: int, k: int) -> float | None:
@@ -219,9 +255,23 @@ def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _norms(state: AdmmState) -> tuple[float, float, float, float]:
+    """||D||, ||V||, ||G - H D|| and ||H V|| of the current iterates.
+
+    Q is orthogonal, so ||G - H D|| = ||Q^T G - diag(lambda) Q^T D||, formed
+    in the qtw buffer (free between steps), and ||H V|| = ||diag(lambda) Q^T V||.
+    """
+    lam = state.cache.eigenvalues
+    gap = np.multiply(lam[:, None], state.qtd, out=state.qtw)
+    np.subtract(state.qtg, gap, out=gap)
+    # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
+    hv_sq = lam**2 @ np.einsum("ij,ij->i", state.qtv, state.qtv)
+    return _frob(state.d), _frob(state.v), _frob(gap), math.sqrt(hv_sq)
+
+
 def polish(
     scaled: ScaledProblem,
-    cache: EigenCache,
+    spectral_norm: float,
     budget: SparsityBudget,
     d: np.ndarray,
     cfg: AdmmConfig,
@@ -229,13 +279,13 @@ def polish(
     """Refine on the support of d, then run monotone hard-thresholding rounds.
 
     Works on the rescaled problem, a congruence of the original, so the
-    objectives compared are the real ones. The refinement starts from d;
-    at most cfg.max_iters rounds follow, and every refinement runs at
-    most cfg.pcg_iters iterations. Returns the weights, the rounds
+    objectives compared are the real ones; spectral_norm is its Gram's.
+    The refinement starts from d; at most cfg.max_iters rounds follow, and
+    every refinement runs at most cfg.pcg_iters iterations. Returns the weights, the rounds
     accepted and the refinement iterations run, the first one included.
     """
     h, w_hat = scaled.gram, scaled.w_hat
-    step = 1.0 / cache.spectral_norm
+    step = 1.0 / spectral_norm
     pcg_cfg = PcgConfig(max_iters=cfg.pcg_iters)
     mask = d != 0.0
     w, cg_iters, _ = support_cg(h, w_hat, mask, d, pcg_cfg)
@@ -283,60 +333,46 @@ def admm_solve(
     # Checks the budget before any Gram work; preprocess validates the Gram.
     k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
-    cache = eigendecompose(scaled.gram)
-    state = initial_state(scaled, cache, cfg.rho0)
-    trace = IterTrace(
-        records=[], h_spectral=cache.spectral_norm, g_norm=_frob(state.qtg)
-    )
-    lam = cache.eigenvalues[:, None]
-    lam_sq = cache.eigenvalues**2
-    # Each step's post-step ||V|| is the next record's pre-step one.
-    v_norm = _frob(state.v)
-
+    # Only the state holds Q, so deleting the state frees it.
+    state = initial_state(scaled, eigendecompose(scaled.gram), cfg.rho0)
+    spectral_norm = state.cache.spectral_norm
+    trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=_frob(state.qtg))
+    pre = _norms(state)
     stabilized = False
     while state.iteration < cfg.max_iters:
         rho_t = state.rho
-        d_prev = state.d
-        d_norm = _frob(d_prev)
-        grad_gap = _frob(state.qtg - lam * state.qtd)
-        # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
-        hv_norm = math.sqrt(lam_sq @ np.einsum("ij,ij->i", state.qtv, state.qtv))
-
-        state = admm_step(state, budget)
-
+        admm_step(state, budget)
         delta = None
         boundary = state.iteration % CHECK_PERIOD == 0
         if boundary:
             current = mask_support(state.d != 0.0)
             delta = support_change(current, state.prev_support)
-            state = replace(state, prev_support=current)
-        v_next_norm = _frob(state.v)
+            state.prev_support = current
+        # Each step's post-step norms are the next record's pre-step ones.
+        post = _norms(state)
         trace.records.append(
             IterRecord(
-                rho=rho_t,
-                d_norm=d_norm,
-                v_norm=v_norm,
-                grad_gap=grad_gap,
-                hv_norm=hv_norm,
-                v_next_norm=v_next_norm,
-                d_change=_frob(state.d - d_prev),
-                wd_gap=_frob(state.w - state.d),
+                rho_t,
+                *pre,
+                v_next_norm=post[1],
+                d_change=state.d_change,
+                wd_gap=state.wd_gap,
                 support_change=delta,
             )
         )
-        v_norm = v_next_norm
+        pre = post
         if boundary:
             new_rho = rho_update(rho_t, delta, k_eff)
             if new_rho is None:
                 stabilized = True
                 break
-            state = replace(state, rho=new_rho)
+            state.rho = new_rho
 
-    # Only D goes on: W, V and the eigenbasis copies must not stay alive
-    # through the polish, where they would set the solve's memory peak.
+    # Only D goes on: the other iterates, the work buffers and Q must not
+    # stay alive through the polish, where they would set the memory peak.
     d, rho_final = state.d, state.rho
-    del state, d_prev
-    polished, polish_rounds, pcg_iters = polish(scaled, cache, budget, d, cfg)
+    del state
+    polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, cfg)
     w = scaled.scale[:, None] * polished
     return build_solution(
         w, h, w_hat, "admm",

@@ -61,7 +61,10 @@ def validate_gram(h) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenCache:
-    """Eigendecomposition H = Q diag(eigenvalues) Q^T, reused across solves.
+    """Eigendecomposition H = Q diag(eigenvalues) Q^T of one solve's Gram.
+
+    A solve factors its Gram once and reuses it under every penalty rho;
+    each solve factors its own, even when layers share a Gram.
 
     Eigenvalues are ascending and clamped to be nonnegative. Negative
     values beyond the rounding tolerance are rejected upstream.

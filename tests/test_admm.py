@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -20,7 +21,7 @@ from l0prune import (
     layer_objective,
     pcg_refine,
 )
-from l0prune import admm, linalg
+from l0prune import admm, linalg, projections
 from l0prune.admm import (
     ScaledProblem,
     admm_step,
@@ -145,8 +146,9 @@ def test_step_with_zero_gram_copies_sparse_iterate():
     w_hat = np.arange(6.0).reshape(3, 2)
     scaled = ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat, np.zeros(3, dtype=bool))
     state = initial_state(scaled, eigendecompose(scaled.gram), 2.0)
+    d = state.d.copy()  # the step overwrites the state in place
     stepped = admm_step(state, Unstructured(6))
-    np.testing.assert_allclose(stepped.w, state.d, atol=1e-14)
+    np.testing.assert_allclose(stepped.w, d, atol=1e-14)
 
 
 def test_step_on_diagonal_gram_by_hand():
@@ -250,22 +252,27 @@ def test_step_matches_original_basis_loop(case, budget):
         _assert_rel_close(state.qtv, cache.q.T @ state.v)
 
 
+def count_calls(monkeypatch, module, name, counts):
+    """Count calls to module.name from every l0prune namespace that holds it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for owner in list(sys.modules.values()):
+        owner_name = getattr(owner, "__name__", "")
+        if owner_name != "l0prune" and not owner_name.startswith("l0prune."):
+            continue
+        for attr, value in list(vars(owner).items()):
+            if value is original:
+                monkeypatch.setattr(owner, attr, counted)
+
+
 def test_validation_runs_once_per_solve(monkeypatch):
     counts = Counter()
     for name in ("validate_gram", "as_matrix"):
-        original = getattr(linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            module_name = getattr(module, "__name__", "")
-            if module_name != "l0prune" and not module_name.startswith("l0prune."):
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        count_calls(monkeypatch, linalg, name, counts)
 
     rng = np.random.default_rng(15)
     h, w_hat = random_problem(rng, 12, 8)
@@ -281,13 +288,58 @@ def test_validation_runs_once_per_solve(monkeypatch):
     assert short == long
 
 
+def test_projection_runs_once_per_iteration_and_polish_round(monkeypatch):
+    # The benchmark's projections.project metrics count these calls.
+    counts = Counter()
+    count_calls(monkeypatch, projections, "project", counts)
+    rng = np.random.default_rng(15)
+    h, w_hat = random_problem(rng, 12, 8)
+    cases = [(h, w_hat, Unstructured(20), AdmmConfig(max_iters=cap)) for cap in (3, 60)]
+    rng = np.random.default_rng(300)
+    diagonal = np.diag(rng.uniform(0.1, 10.0, 32)), rng.standard_normal((32, 16))
+    cases += [(*diagonal, budget, AdmmConfig()) for budget in (Unstructured(153), NM(2, 4))]
+    rounds = 0
+    for h, w_hat, budget, cfg in cases:
+        counts.clear()
+        sol = admm_solve(h, w_hat, budget, cfg)
+        # The polish projects once per accepted round, and once more to
+        # find that the next support is no better.
+        assert counts["project"] == sol.iterations + sol.polish_rounds + 1
+        rounds += sol.polish_rounds
+    assert rounds > 0
+
+
+@pytest.mark.parametrize(
+    "budget", [budget_from_sparsity(0.7, 64, 1024), NM(2, 4)], ids=["topk", "nm24"]
+)
+def test_loop_memory_is_ten_weight_arrays(budget):
+    # The loop holds scaled W_hat and eight n x m buffers (W, D, the spare
+    # D, V, Q^T G, Q^T D, Q^T V, Q^T W), and the top-k projection adds the
+    # copy np.partition reorders: ten n x m float arrays. The half array
+    # on top covers boolean masks (an eighth each) and the trace; the two
+    # n x n arrays are the scaled Gram and Q. The polish takes no round
+    # here, so the loop sets the solve's peak.
+    n_in, n_out = 64, 1024
+    h, w_hat = random_problem(np.random.default_rng(1), n_in, n_out)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = admm_solve(h, w_hat, budget)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sol.polish_rounds == 0
+    assert peak <= (10.5 * n_in * n_out + 2 * n_in * n_in) * 8
+
+
 def test_sparse_iterate_feasible_after_every_step():
     rng = np.random.default_rng(4)
     h, w_hat = random_problem(rng, 6, 4)
     scaled = preprocess(h, w_hat)
-    state = initial_state(scaled, eigendecompose(scaled.gram), 0.1)
+    cache = eigendecompose(scaled.gram)
     for budget in (Unstructured(7), NM(2, 3)):
-        s = state
+        s = initial_state(scaled, cache, 0.1)
         cap = budget_size(budget, w_hat.shape)
         for _ in range(10):
             s = admm_step(s, budget)
@@ -453,7 +505,7 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
         cache = eigendecompose(scaled.gram)
         mask = budget_mask(np.abs(scaled.w_hat), budget)
         start = np.where(mask, scaled.w_hat, 0.0)
-        w, rounds, cg_iters = polish(scaled, cache, budget, start, AdmmConfig())
+        w, rounds, cg_iters = polish(scaled, cache.spectral_norm, budget, start, AdmmConfig())
         refined = pcg_refine(scaled.gram, scaled.w_hat, mask_support(mask), start)
         before = layer_objective(scaled.gram, scaled.w_hat, refined)
         after = layer_objective(scaled.gram, scaled.w_hat, w)
@@ -466,28 +518,30 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
 
 
 def test_polish_runs_without_loop_iterates(monkeypatch):
-    # The loop's iterates must not stay alive through the polish, where
-    # they would set the solve's memory peak; only the last D is handed over.
-    states, ds = [], []
+    # The loop's iterates, work buffers and Q must not stay alive through
+    # the polish, where they would set the solve's memory peak; only the
+    # last D is handed over.
+    states, arrays = [], []
 
     def tracked(fn):
         def wrapper(*args, **kwargs):
             state = fn(*args, **kwargs)
             states.append(weakref.ref(state))
-            ds.append(weakref.ref(state.d))
+            held = (*vars(state).values(), state.cache.q)
+            arrays.extend(weakref.ref(a) for a in held if isinstance(a, np.ndarray))
             return state
 
         return wrapper
 
     entries = []
 
-    def checked_polish(scaled, cache, budget, d, cfg):
+    def checked_polish(scaled, spectral_norm, budget, d, cfg):
         gc.collect()
         entries.append(
             [ref() is None for ref in states]
-            + [ref() is None or ref() is d for ref in ds]
+            + [ref() is None or ref() is d for ref in arrays]
         )
-        return polish(scaled, cache, budget, d, cfg)
+        return polish(scaled, spectral_norm, budget, d, cfg)
 
     monkeypatch.setattr(admm, "initial_state", tracked(initial_state))
     monkeypatch.setattr(admm, "admm_step", tracked(admm_step))
@@ -498,7 +552,7 @@ def test_polish_runs_without_loop_iterates(monkeypatch):
     # at max_iters = 4, between boundaries.
     for cfg in (AdmmConfig(), AdmmConfig(max_iters=4)):
         states.clear()
-        ds.clear()
+        arrays.clear()
         admm_solve(h, w_hat, Unstructured(30), cfg)
         assert len(states) > 1
         assert all(entries.pop())

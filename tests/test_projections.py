@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from l0prune import NM, InvalidInputError, Unstructured, support_of
+from l0prune import NM, InvalidInputError, Unstructured, admm_solve, support_of
 from l0prune.projections import (
+    budget_mask,
     budget_size,
     check_budget,
     nm_mask,
@@ -217,6 +218,30 @@ def test_project_dispatches_both_budgets():
     np.testing.assert_array_equal(project(a, Unstructured(2)), project_topk(a, 2))
     np.testing.assert_array_equal(project(a.reshape(4, 1), NM(2, 4)),
                                   project_nm(a.reshape(4, 1), 2, 4))
+
+
+@pytest.mark.parametrize("budget", [Unstructured(30), NM(2, 4)], ids=["topk", "nm24"])
+def test_project_bytes_match_where_on_negative_inputs(budget):
+    # A pruned negative entry times False is -0.0; the projection must
+    # still return np.where's bytes, with no sign bit on any zero.
+    rng = np.random.default_rng(17)
+    a = -np.abs(rng.standard_normal((16, 8)))
+    a[::5] *= -1.0
+    expected = np.where(budget_mask(np.abs(a), budget), a, 0.0)
+    out = np.full_like(a, np.nan)
+    for result in (project(a, budget), project(a, budget, out=out)):
+        assert result.tobytes() == expected.tobytes()
+        assert not np.signbit(result[result == 0.0]).any()
+    assert project(a, budget, out=out) is out
+
+
+@pytest.mark.parametrize("budget", [Unstructured(30), NM(2, 4)], ids=["topk", "nm24"])
+def test_solution_zeros_have_no_sign_bit(budget):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((64, 16))
+    w_hat = -np.abs(rng.standard_normal((16, 8)))
+    sol = admm_solve(x.T @ x, w_hat, budget)
+    assert not np.signbit(sol.w[sol.w == 0.0]).any()
 
 
 # --- support bookkeeping ---
