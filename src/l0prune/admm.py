@@ -45,6 +45,8 @@ stops when D' keeps the current support, refines on the support of D'
 warm-started from D', and keeps the result only if the objective strictly
 falls. With step 1 / lambda_max a round never raises the objective, and
 at a fixed point the rounds cost one product and one projection.
+linalg.gap_form gives each objective and descent and frees W_hat - W;
+only admm_solve checks inputs, which preprocess and the polish trust.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import EigenCache, as_matrix, eigendecompose, validate_gram
+from .linalg import EigenCache, as_matrix, eigendecompose, gap_form, validate_gram
 from .pcg import PcgConfig, support_cg
 from .projections import (
     SparsityBudget,
@@ -89,10 +91,11 @@ class AdmmConfig:
     pcg_iters: int = 10
 
     def __post_init__(self):
-        if not self.rho0 > 0:
-            raise InvalidInputError("rho0 must be positive")
-        if self.max_iters < 1 or self.pcg_iters < 1:
-            raise InvalidInputError("iteration caps must be positive")
+        if not 0 < self.rho0 < math.inf:
+            raise InvalidInputError(f"rho0 must be positive and finite: {self.rho0!r}")
+        caps = (self.max_iters, self.pcg_iters)
+        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in caps):
+            raise InvalidInputError(f"iteration caps must be positive integers: {caps}")
 
 
 def budget_from_sparsity(s: float, n_in: int, n_out: int) -> Unstructured:
@@ -122,10 +125,8 @@ class ScaledProblem:
     dead: np.ndarray
 
 
-def preprocess(h, w_hat) -> ScaledProblem:
-    """Rescale so the Gram has unit diagonal wherever it is positive."""
-    h = validate_gram(h)
-    w_hat = as_matrix(w_hat, "dense weights")
+def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
+    """Rescale the arrays admm_solve checked to a Gram with unit live diagonal."""
     if w_hat.shape[0] != h.shape[0]:
         raise InvalidInputError("gram and weight shapes do not conform")
     diag = np.diag(h).copy()
@@ -281,8 +282,8 @@ def polish(
     Works on the rescaled problem, a congruence of the original, so the
     objectives compared are the real ones; spectral_norm is its Gram's.
     The refinement starts from d; at most cfg.max_iters rounds follow, and
-    every refinement runs at most cfg.pcg_iters iterations. Returns the weights, the rounds
-    accepted and the refinement iterations run, the first one included.
+    every refinement runs at most cfg.pcg_iters iterations. Returns the
+    weights, the rounds accepted and the CG iterations of every refinement.
     """
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / spectral_norm
@@ -290,9 +291,7 @@ def polish(
     mask = d != 0.0
     w, cg_iters, _ = support_cg(h, w_hat, mask, d, pcg_cfg)
     # H (W_hat - W) is minus half the objective's gradient.
-    delta = w_hat - w
-    descent = h @ delta
-    objective = float(np.vdot(delta, descent))
+    descent, objective = gap_form(h, w_hat, w)
     rounds = 0
     for _ in range(cfg.max_iters):
         d = project(w + step * descent, budget)
@@ -301,9 +300,7 @@ def polish(
             break
         candidate, iters, _ = support_cg(h, w_hat, d_mask, d, pcg_cfg)
         cg_iters += iters
-        delta = w_hat - candidate
-        candidate_descent = h @ delta
-        candidate_objective = float(np.vdot(delta, candidate_descent))
+        candidate_descent, candidate_objective = gap_form(h, w_hat, candidate)
         if not candidate_objective < objective:
             break
         w, mask = candidate, d_mask
@@ -329,9 +326,10 @@ def admm_solve(
     diagnostics, the polish rounds accepted, and in pcg_iters_used every
     refinement iteration the solve ran, polish rounds included.
     """
+    # The only input checks, the budget's before any Gram work; the rest trusts them.
     w_hat = as_matrix(w_hat, "dense weights")
-    # Checks the budget before any Gram work; preprocess validates the Gram.
     k_eff = budget_size(budget, w_hat.shape)
+    h = validate_gram(h)
     scaled = preprocess(h, w_hat)
     # Only the state holds Q, so deleting the state frees it.
     state = initial_state(scaled, eigendecompose(scaled.gram), cfg.rho0)

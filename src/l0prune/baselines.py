@@ -15,14 +15,14 @@ import numpy as np
 
 from .diagnostics import IterTrace
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
-from .linalg import as_matrix, layer_objective, output_energy, validate_gram
+from .linalg import as_matrix, gap_form, layer_objective, output_energy, validate_gram
 from .projections import (
     SparsityBudget,
     SupportMask,
     Unstructured,
     budget_mask,
     check_budget,
-    support_of,
+    mask_support,
 )
 
 BRUTE_FORCE_LIMIT = 20
@@ -50,12 +50,16 @@ class PruneSolution:
 
 
 def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
-    """Package w with its support, metrics when h is given, and extra fields."""
+    """Package w with its support, metrics when h is given, and extra fields.
+
+    Checks only w: every caller has already checked h and w_hat.
+    """
+    w = as_matrix(w, "weights")
     objective = rel = None
     if h is not None:
-        objective = layer_objective(h, w_hat, w)
+        objective = max(gap_form(h, w_hat, w)[1], 0.0)
         rel = objective / output_energy(h, w_hat)
-    return PruneSolution(w, support_of(w), objective, rel, method, **extra)
+    return PruneSolution(w, mask_support(w != 0.0), objective, rel, method, **extra)
 
 
 def backsolve_exact(h, w_hat, support: SupportMask) -> np.ndarray:
@@ -137,6 +141,8 @@ def magnitude_prune(w_hat, budget: SparsityBudget, gram=None) -> PruneSolution:
     w_hat = as_matrix(w_hat, "dense weights")
     if gram is not None:
         gram = validate_gram(gram)
+        if w_hat.shape[0] != gram.shape[0]:
+            raise InvalidInputError("gram and weight shapes do not conform")
     return _keep_best(np.abs(w_hat), w_hat, gram, budget, "magnitude")
 
 

@@ -50,7 +50,7 @@ def _parse_nm(text: str) -> NM:
 
 def _load_gram(args) -> np.ndarray:
     if getattr(args, "gram", None):
-        return validate_gram(read_matrix(args.gram))
+        return read_matrix(args.gram)
     return gram_from_activations(read_matrix(args.activations))
 
 
@@ -149,7 +149,7 @@ def cmd_prune(args) -> int:
 def cmd_eval(args) -> int:
     w_hat = read_matrix(args.weights)
     w = read_matrix(args.pruned)
-    h = _load_gram(args)
+    h = validate_gram(_load_gram(args))
     print(f"{relative_error(h, w_hat, w):.6f}")
     return EXIT_OK
 
@@ -179,6 +179,12 @@ def cmd_gram(args) -> int:
     return EXIT_OK
 
 
+def _add_source(parser, helps=(None, None)) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    for flag, text in zip(("--gram", "--activations"), helps):
+        source.add_argument(flag, help=text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l0prune",
@@ -188,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prune = sub.add_parser("prune", help="prune a weight matrix")
     prune.add_argument("--weights", required=True, help="dense weights file")
-    source = prune.add_mutually_exclusive_group(required=True)
-    source.add_argument("--gram", help="precomputed Gram matrix file")
-    source.add_argument("--activations", help="calibration activations file")
+    _add_source(prune, ("precomputed Gram matrix file", "calibration activations file"))
     budget = prune.add_mutually_exclusive_group(required=True)
     budget.add_argument("--sparsity", type=float, help="fraction of weights to zero")
     budget.add_argument("--nm", help="structured budget as N:M, e.g. 2:4")
@@ -209,16 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", help="relative error of a pruned file")
     evaluate.add_argument("--weights", required=True)
     evaluate.add_argument("--pruned", required=True)
-    source = evaluate.add_mutually_exclusive_group(required=True)
-    source.add_argument("--gram")
-    source.add_argument("--activations")
+    _add_source(evaluate)
     evaluate.set_defaults(func=cmd_eval)
 
     oracle = sub.add_parser("oracle", help="exact reference solvers")
     oracle.add_argument("--weights", required=True)
-    source = oracle.add_mutually_exclusive_group(required=True)
-    source.add_argument("--gram")
-    source.add_argument("--activations")
+    _add_source(oracle)
     mode = oracle.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pruned", help="solve exactly on this file's support")
     mode.add_argument(

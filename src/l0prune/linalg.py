@@ -101,13 +101,17 @@ def layer_objective(h, w_hat, w) -> float:
     h = as_matrix(h, "gram")
     w_hat = as_matrix(w_hat, "dense weights")
     w = as_matrix(w, "weights")
-    if h.shape[0] != h.shape[1]:
-        raise InvalidInputError(f"gram must be square, got {h.shape}")
-    if w.shape != w_hat.shape or w_hat.shape[0] != h.shape[0]:
+    if h.shape != (w_hat.shape[0],) * 2 or w.shape != w_hat.shape:
         raise InvalidInputError("shape mismatch between gram and weights")
-    delta = w_hat - w
     # The quadratic form can go mildly negative from rounding on PSD input.
-    return max(float(np.vdot(delta, h @ delta)), 0.0)
+    return max(gap_form(h, w_hat, w)[1], 0.0)
+
+
+def gap_form(h, w_hat, w) -> tuple[np.ndarray, float]:
+    """H (W_hat - W) and unclamped tr((W_hat - W)^T H (W_hat - W)), unchecked."""
+    delta = w_hat - w
+    h_delta = h @ delta
+    return h_delta, float(np.vdot(delta, h_delta))
 
 
 def relative_error(h, w_hat, w) -> float:
@@ -122,7 +126,7 @@ def relative_error(h, w_hat, w) -> float:
 
 
 def output_energy(h, w_hat) -> float:
-    """tr(W_hat^T H W_hat) for arrays layer_objective has already checked."""
+    """tr(W_hat^T H W_hat) for arrays the caller has already checked."""
     h = np.asarray(h, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
     energy = float(np.vdot(w_hat, h @ w_hat))

@@ -45,6 +45,8 @@ def write_matrix(path, m, dtype=np.float64) -> None:
     code = codes.get(np_dtype.newbyteorder("<"))
     if code is None:
         raise InvalidInputError(f"unsupported dtype {np_dtype}")
+    if code == 0 and np.abs(m).max() > np.finfo(np.float32).max:
+        raise InvalidInputError("matrix entries exceed the float32 range")
     header = HEADER.pack(MAGIC, VERSION, code, 0, m.shape[0], m.shape[1])
     payload = np.ascontiguousarray(m, dtype=DTYPE_CODES[code]).tobytes()
     Path(path).write_bytes(header + payload)

@@ -94,11 +94,10 @@ def support_cg(
     m_inv[m_inv <= 0.0] = 1.0
     np.reciprocal(m_inv, out=m_inv)
     m_inv = m_inv[:, None]
-    s_f = mask.astype(np.float64)
 
     w = w0.copy()
     r = h @ (w_hat - w)
-    r *= s_f
+    r *= mask
     r0_norm = float(np.linalg.norm(r))
     if r0_norm <= ABS_FLOOR:
         return w, 0, 0.0
@@ -125,7 +124,7 @@ def support_cg(
         w += tmp
         np.multiply(hp, alpha, out=tmp)
         r -= tmp
-        r *= s_f
+        r *= mask
         np.multiply(r, m_inv, out=z)
         iterations += 1
         rel_residual = float(np.linalg.norm(r)) / r0_norm

@@ -175,13 +175,3 @@ def project(a, budget: SparsityBudget, out: np.ndarray | None = None) -> np.ndar
     out = np.multiply(a, mask, out=out)
     out += 0.0
     return out
-
-
-def project_topk(a, k: int) -> np.ndarray:
-    """Projection onto matrices with at most k nonzeros."""
-    return project(a, Unstructured(k))
-
-
-def project_nm(a, n: int, m: int) -> np.ndarray:
-    """Projection onto n:m sparsity along the input dimension."""
-    return project(a, NM(n, m))

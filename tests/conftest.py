@@ -1,6 +1,7 @@
 """Shared instance builders for the test suite."""
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import settings
@@ -28,3 +29,20 @@ def random_psd(rng, n, rank=None):
     a = rng.standard_normal((n, n if rank is None else rank))
     h = a @ a.T
     return (h + h.T) / 2.0
+
+
+def count_calls(monkeypatch, module, name, counts):
+    """Count calls to module.name from every l0prune namespace that holds it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for owner in list(sys.modules.values()):
+        owner_name = getattr(owner, "__name__", "")
+        if owner_name != "l0prune" and not owner_name.startswith("l0prune."):
+            continue
+        for attr, value in list(vars(owner).items()):
+            if value is original:
+                monkeypatch.setattr(owner, attr, counted)

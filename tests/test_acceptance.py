@@ -17,7 +17,7 @@ import pytest
 import l0prune as lp
 from l0prune.admm import preprocess
 from l0prune.cli import main as cli_main
-from l0prune.projections import project_nm
+from l0prune.projections import project
 
 from conftest import correlated_activations, random_problem
 
@@ -237,7 +237,7 @@ def test_6_nm_correctness(tmp_path, announce):
         m = int(rng.choice([2, 4, 8]))
         n = int(rng.integers(1, m + 1))
         group = rng.standard_normal((m, 1))
-        out = project_nm(group, n, m)
+        out = project(group, lp.NM(n, m))
         order = np.argsort(-np.abs(group[:, 0]), kind="stable")[:n]
         expected = np.zeros((m, 1))
         expected[order, 0] = group[order, 0]

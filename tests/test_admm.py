@@ -1,5 +1,4 @@
 import gc
-import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -33,7 +32,7 @@ from l0prune.admm import (
 from l0prune.linalg import eigendecompose
 from l0prune.projections import budget_mask, budget_size, mask_support, project
 
-from conftest import random_problem, random_psd
+from conftest import count_calls, random_problem, random_psd
 
 
 # --- budget_from_sparsity ---
@@ -78,6 +77,9 @@ def test_config_defaults():
         {"pcg_iters": -1},
         {"max_iters": 0},
         {"pcg_iters": 0},
+        {"rho0": float("inf")},
+        {"max_iters": 2.5},
+        {"pcg_iters": 2.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -214,7 +216,8 @@ def test_step_matches_original_basis_loop(case, budget):
     if case == "float32":
         h, w_hat = h.astype(np.float32), w_hat.astype(np.float32)
     sol = admm_solve(h, w_hat, budget, AdmmConfig(max_iters=40))
-    scaled = preprocess(h, w_hat)
+    # preprocess trusts the float64 arrays admm_solve makes of its inputs.
+    scaled = preprocess(h.astype(np.float64), w_hat.astype(np.float64))
     cache = eigendecompose(scaled.gram)
     state = initial_state(scaled, cache, AdmmConfig().rho0)
     hp = scaled.gram
@@ -252,23 +255,6 @@ def test_step_matches_original_basis_loop(case, budget):
         _assert_rel_close(state.qtv, cache.q.T @ state.v)
 
 
-def count_calls(monkeypatch, module, name, counts):
-    """Count calls to module.name from every l0prune namespace that holds it."""
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-
-    for owner in list(sys.modules.values()):
-        owner_name = getattr(owner, "__name__", "")
-        if owner_name != "l0prune" and not owner_name.startswith("l0prune."):
-            continue
-        for attr, value in list(vars(owner).items()):
-            if value is original:
-                monkeypatch.setattr(owner, attr, counted)
-
-
 def test_validation_runs_once_per_solve(monkeypatch):
     counts = Counter()
     for name in ("validate_gram", "as_matrix"):
@@ -283,8 +269,9 @@ def test_validation_runs_once_per_solve(monkeypatch):
         runs.append((sol.iterations, dict(counts)))
     (short_iters, short), (long_iters, long) = runs
     assert short_iters == 3 and long_iters > 3 * short_iters
+    # W_hat, the Gram (inside validate_gram), and the pruned W, once each.
     assert short["validate_gram"] == 1
-    assert short["as_matrix"] == 7
+    assert short["as_matrix"] == 3
     assert short == long
 
 

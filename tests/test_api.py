@@ -63,7 +63,7 @@ INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
     "l0prune.linalg": ["EigenCache", "eigendecompose", "validate_gram"],
-    "l0prune.projections": ["project", "project_topk", "project_nm", "support_change"],
+    "l0prune.projections": ["project", "support_change"],
 }
 
 

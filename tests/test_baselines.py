@@ -179,7 +179,9 @@ def test_magnitude_equals_projection(seed, k, n):
 
 
 @pytest.mark.parametrize(
-    "gram", [np.eye(3, 4), np.triu(np.ones((3, 3)))], ids=["non_square", "asymmetric"]
+    "gram",
+    [np.eye(3, 4), np.triu(np.ones((3, 3))), np.eye(4)],
+    ids=["non_square", "asymmetric", "non_conforming"],
 )
 def test_magnitude_rejects_malformed_gram(gram):
     with pytest.raises(InvalidInputError):

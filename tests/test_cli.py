@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from l0prune import (
     relative_error,
     write_matrix,
 )
+from l0prune import linalg
 from l0prune.cli import main
 
-from conftest import correlated_activations
+from conftest import correlated_activations, count_calls
 
 
 @pytest.fixture
@@ -295,6 +297,43 @@ def test_bad_nm_string_exits_2(workspace, capsys):
         "--nm", "2x4",
     )
     assert code == 2
+
+
+def test_infinite_rho0_exits_2(workspace, capsys):
+    paths, _, _ = workspace
+    code = run(
+        "prune", "--weights", paths["weights"], "--gram", paths["gram"],
+        "--k", 30, "--rho0", "inf",
+    )
+    assert code == 2
+    assert "rho0" in capsys.readouterr().err
+
+
+def test_eval_rejects_asymmetric_gram(workspace, tmp_path, capsys):
+    paths, _, x = workspace
+    h = gram_from_activations(x)
+    h[0, 1] += 1.0
+    write_matrix(tmp_path / "skew.amtx", h)
+    code = run(
+        "eval", "--weights", paths["weights"], "--pruned", paths["weights"],
+        "--gram", tmp_path / "skew.amtx",
+    )
+    assert code == 2
+    assert "symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["alps", "mp", "wanda"])
+def test_prune_checks_the_gram_once(workspace, monkeypatch, method):
+    paths, _, _ = workspace
+    counts = Counter()
+    count_calls(monkeypatch, linalg, "validate_gram", counts)
+    code = run(
+        "prune", "--weights", paths["weights"], "--gram", paths["gram"],
+        "--k", 30, "--method", method, "--out", paths["out"],
+        "--report", paths["report"],
+    )
+    assert code == 0
+    assert counts["validate_gram"] == 1
 
 
 def test_degenerate_instance_exits_3(workspace, tmp_path, capsys):

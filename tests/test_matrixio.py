@@ -61,6 +61,17 @@ def test_write_rejects_non_finite(tmp_path):
         write_matrix(tmp_path / "x.amtx", np.array([[np.inf]]))
 
 
+def test_write_rejects_float32_overflow(tmp_path):
+    # Cast to float32, 1e39 would become inf, which read_matrix rejects.
+    path = tmp_path / "x.amtx"
+    with pytest.raises(InvalidInputError):
+        write_matrix(path, np.array([[1.0, -1e39]]), dtype=np.float32)
+    assert not path.exists()
+    largest = float(np.finfo(np.float32).max)
+    write_matrix(path, np.array([[largest, -largest]]), dtype=np.float32)
+    np.testing.assert_array_equal(read_matrix(path), [[largest, -largest]])
+
+
 def _valid_file(tmp_path, m=None):
     path = tmp_path / "v.amtx"
     write_matrix(path, np.array([[1.0, 2.0], [3.0, 4.0]]) if m is None else m)

@@ -11,8 +11,6 @@ from l0prune.projections import (
     check_budget,
     nm_mask,
     project,
-    project_nm,
-    project_topk,
     support_change,
     topk_mask,
 )
@@ -62,38 +60,41 @@ def test_budget_size_values():
     assert budget_size(NM(2, 4), (8, 3)) == 2 * 2 * 3
 
 
-# --- project_topk ---
+# --- top-k projection ---
 
 
 def test_topk_forced_example():
     a = np.array([[3.0, -1.0], [0.5, -4.0]])
-    np.testing.assert_array_equal(project_topk(a, 2), [[3.0, 0.0], [0.0, -4.0]])
+    expected = [[3.0, 0.0], [0.0, -4.0]]
+    np.testing.assert_array_equal(project(a, Unstructured(2)), expected)
 
 
 def test_topk_zero_budget():
-    np.testing.assert_array_equal(project_topk(np.ones((2, 2)), 0), np.zeros((2, 2)))
+    out = project(np.ones((2, 2)), Unstructured(0))
+    np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
 
 def test_topk_tie_goes_to_lower_index():
-    np.testing.assert_array_equal(project_topk(np.array([[2.0, 2.0]]), 1), [[2.0, 0.0]])
+    out = project(np.array([[2.0, 2.0]]), Unstructured(1))
+    np.testing.assert_array_equal(out, [[2.0, 0.0]])
 
 
 def test_topk_out_of_range():
     with pytest.raises(InvalidInputError):
-        project_topk(np.ones((2, 2)), 5)
+        project(np.ones((2, 2)), Unstructured(5))
 
 
 @given(matrix_and_k())
 def test_topk_nonzero_count(case):
     a, k = case
-    out = project_topk(a, k)
+    out = project(a, Unstructured(k))
     assert np.count_nonzero(out) == min(k, np.count_nonzero(a))
 
 
 @given(matrix_and_k())
 def test_topk_preserves_surviving_values(case):
     a, k = case
-    out = project_topk(a, k)
+    out = project(a, Unstructured(k))
     kept = out != 0
     assert np.array_equal(out[kept], a[kept])
 
@@ -101,8 +102,8 @@ def test_topk_preserves_surviving_values(case):
 @given(matrix_and_k())
 def test_topk_idempotent(case):
     a, k = case
-    once = project_topk(a, k)
-    np.testing.assert_array_equal(project_topk(once, k), once)
+    once = project(a, Unstructured(k))
+    np.testing.assert_array_equal(project(once, Unstructured(k)), once)
 
 
 @given(matrix_and_k(max_side=3))
@@ -113,7 +114,8 @@ def test_topk_is_closest_k_sparse_matrix(case):
         np.sum(np.delete(a.ravel(), list(kept)) ** 2)
         for kept in combinations(range(a.size), k)
     )
-    assert np.sum((a - project_topk(a, k)) ** 2) == pytest.approx(best, abs=1e-12)
+    out = project(a, Unstructured(k))
+    assert np.sum((a - out) ** 2) == pytest.approx(best, abs=1e-12)
 
 
 def test_topk_mask_exact_count_under_ties():
@@ -123,29 +125,29 @@ def test_topk_mask_exact_count_under_ties():
     assert mask[0, 0] and mask[0, 1]
 
 
-# --- project_nm ---
+# --- n:m projection ---
 
 
 def test_nm_forced_column():
     col = np.array([[1.0], [-3.0], [2.0], [-0.5]])
-    np.testing.assert_array_equal(project_nm(col, 2, 4), [[0.0], [-3.0], [2.0], [0.0]])
+    np.testing.assert_array_equal(project(col, NM(2, 4)), [[0.0], [-3.0], [2.0], [0.0]])
 
 
 def test_nm_identity_when_n_equals_m():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 3))
-    np.testing.assert_array_equal(project_nm(a, 3, 3), a)
+    np.testing.assert_array_equal(project(a, NM(3, 3)), a)
 
 
 def test_nm_rejects_indivisible_rows():
     with pytest.raises(InvalidInputError):
-        project_nm(np.ones((6, 2)), 2, 4)
+        project(np.ones((6, 2)), NM(2, 4))
 
 
 def test_nm_per_group_top_n_oracle():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((8, 3))
-    out = project_nm(a, 2, 4)
+    out = project(a, NM(2, 4))
     for j in range(3):
         for g in range(2):
             group = a[4 * g : 4 * g + 4, j]
@@ -162,8 +164,8 @@ def test_nm_idempotent_and_feasible(seed, n):
     rng = np.random.default_rng(seed)
     m = 4
     a = rng.integers(-3, 4, size=(8, 2)).astype(float)
-    out = project_nm(a, n, m)
-    np.testing.assert_array_equal(project_nm(out, n, m), out)
+    out = project(a, NM(n, m))
+    np.testing.assert_array_equal(project(out, NM(n, m)), out)
     groups = out.reshape(2, m, 2)
     assert (np.count_nonzero(groups, axis=1) <= n).all()
 
@@ -215,9 +217,10 @@ def test_nm_mask_keeps_exactly_n_per_group():
 
 def test_project_dispatches_both_budgets():
     a = np.array([[1.0, -3.0], [2.0, -0.5]])
-    np.testing.assert_array_equal(project(a, Unstructured(2)), project_topk(a, 2))
+    np.testing.assert_array_equal(project(a, Unstructured(2)),
+                                  [[0.0, -3.0], [2.0, 0.0]])
     np.testing.assert_array_equal(project(a.reshape(4, 1), NM(2, 4)),
-                                  project_nm(a.reshape(4, 1), 2, 4))
+                                  [[0.0], [-3.0], [2.0], [0.0]])
 
 
 @pytest.mark.parametrize("budget", [Unstructured(30), NM(2, 4)], ids=["topk", "nm24"])
@@ -261,7 +264,7 @@ def test_support_of_diagonal():
 @given(matrix_and_k())
 def test_support_count_after_projection(case):
     a, k = case
-    assert support_of(project_topk(a, k)).count == min(k, np.count_nonzero(a))
+    assert support_of(project(a, Unstructured(k))).count == min(k, np.count_nonzero(a))
 
 
 def test_support_change_trivia():
