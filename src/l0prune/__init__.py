@@ -41,14 +41,8 @@ from .errors import (
 )
 from .linalg import gram_from_activations, layer_objective, relative_error
 from .matrixio import read_matrix, write_matrix
-from .pcg import PcgConfig, pcg_refine
-from .projections import (
-    NM,
-    SparsityBudget,
-    SupportMask,
-    Unstructured,
-    support_of,
-)
+from .pcg import pcg_refine
+from .projections import NM, SparsityBudget, Unstructured, support_of
 
 __all__ = [
     "AdmmConfig",
@@ -63,11 +57,9 @@ __all__ = [
     "MatrixFileError",
     "NM",
     "NonFiniteDataError",
-    "PcgConfig",
     "PruneError",
     "PruneSolution",
     "SparsityBudget",
-    "SupportMask",
     "TheoremBound",
     "TruncatedFileError",
     "Unstructured",

@@ -46,7 +46,8 @@ warm-started from D', and keeps the result only if the objective strictly
 falls. With step 1 / lambda_max a round never raises the objective, and
 at a fixed point the rounds cost one product and one projection.
 linalg.gap_form gives each objective and descent and frees W_hat - W;
-only admm_solve checks inputs, which preprocess and the polish trust.
+only admm_solve checks inputs, through linalg.check_instance, and
+preprocess and the polish trust them.
 """
 
 from __future__ import annotations
@@ -59,16 +60,10 @@ import numpy as np
 from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import EigenCache, as_matrix, eigendecompose, gap_form, validate_gram
-from .pcg import PcgConfig, support_cg
+from .linalg import EigenCache, check_instance, eigendecompose, gap_form
+from .pcg import support_cg
 from .projections import (
-    SparsityBudget,
-    SupportMask,
-    Unstructured,
-    budget_size,
-    mask_support,
-    project,
-    support_change,
+    SparsityBudget, Unstructured, budget_size, project, support_change,
 )
 
 DEAD_DIAG_RTOL = 1e-12
@@ -127,8 +122,6 @@ class ScaledProblem:
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     """Rescale the arrays admm_solve checked to a Gram with unit live diagonal."""
-    if w_hat.shape[0] != h.shape[0]:
-        raise InvalidInputError("gram and weight shapes do not conform")
     diag = np.diag(h).copy()
     max_diag = float(diag.max())
     if max_diag <= 0.0:
@@ -169,7 +162,7 @@ class AdmmState:
     qtw: np.ndarray
     rho: float
     iteration: int
-    prev_support: SupportMask
+    prev_support: np.ndarray
     cache: EigenCache
     d_change: float | None = None
     wd_gap: float | None = None
@@ -193,7 +186,7 @@ def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> Admm
         qtw=np.empty_like(w_hat),
         rho=rho0,
         iteration=0,
-        prev_support=mask_support(w_hat != 0.0),
+        prev_support=w_hat != 0.0,
         cache=cache,
     )
 
@@ -287,24 +280,24 @@ def polish(
     """
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / spectral_norm
-    pcg_cfg = PcgConfig(max_iters=cfg.pcg_iters)
     mask = d != 0.0
-    w, cg_iters, _ = support_cg(h, w_hat, mask, d, pcg_cfg)
+    w, cg_iters, _ = support_cg(h, w_hat, mask, d, cfg.pcg_iters)
     # H (W_hat - W) is minus half the objective's gradient.
     descent, objective = gap_form(h, w_hat, w)
     rounds = 0
     for _ in range(cfg.max_iters):
         d = project(w + step * descent, budget)
+        # Spent, so not held through the refinement: a kept round brings its own.
+        del descent
         d_mask = d != 0.0
         if np.array_equal(d_mask, mask):
             break
-        candidate, iters, _ = support_cg(h, w_hat, d_mask, d, pcg_cfg)
+        candidate, iters, _ = support_cg(h, w_hat, d_mask, d, cfg.pcg_iters)
         cg_iters += iters
-        candidate_descent, candidate_objective = gap_form(h, w_hat, candidate)
+        descent, candidate_objective = gap_form(h, w_hat, candidate)
         if not candidate_objective < objective:
             break
-        w, mask = candidate, d_mask
-        descent, objective = candidate_descent, candidate_objective
+        w, mask, objective = candidate, d_mask, candidate_objective
         rounds += 1
     return w, rounds, cg_iters
 
@@ -326,10 +319,9 @@ def admm_solve(
     diagnostics, the polish rounds accepted, and in pcg_iters_used every
     refinement iteration the solve ran, polish rounds included.
     """
-    # The only input checks, the budget's before any Gram work; the rest trusts them.
-    w_hat = as_matrix(w_hat, "dense weights")
+    # The only input checks; the rest trusts them.
+    h, w_hat = check_instance(h, w_hat)
     k_eff = budget_size(budget, w_hat.shape)
-    h = validate_gram(h)
     scaled = preprocess(h, w_hat)
     # Only the state holds Q, so deleting the state frees it.
     state = initial_state(scaled, eigendecompose(scaled.gram), cfg.rho0)
@@ -343,9 +335,11 @@ def admm_solve(
         delta = None
         boundary = state.iteration % CHECK_PERIOD == 0
         if boundary:
-            current = mask_support(state.d != 0.0)
+            current = state.d != 0.0
             delta = support_change(current, state.prev_support)
+            # Only the state may hold the support, or it outlives the loop.
             state.prev_support = current
+            del current
         # Each step's post-step norms are the next record's pre-step ones.
         post = _norms(state)
         trace.records.append(

@@ -4,6 +4,9 @@ backsolve_exact is the optimality oracle for a fixed support;
 brute_force_support is the global oracle for instances small enough to
 enumerate. magnitude_prune and activation_weighted_prune are the two
 standard one-shot baselines the solver is compared against.
+
+Each checks its Gram and dense weights once, through linalg.check_instance;
+brute force then hands every candidate to the exact solver's unchecked kernel.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ import numpy as np
 
 from .diagnostics import IterTrace
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
-from .linalg import as_matrix, gap_form, layer_objective, output_energy, validate_gram
+from .linalg import as_matrix, check_instance, gap_form, output_energy
 from .projections import (
     SparsityBudget,
-    SupportMask,
     Unstructured,
     budget_mask,
     check_budget,
-    mask_support,
+    check_support,
 )
 
 BRUTE_FORCE_LIMIT = 20
@@ -37,7 +39,7 @@ class PruneSolution:
     """
 
     w: np.ndarray
-    support: SupportMask
+    support: np.ndarray
     objective: float | None
     rel_error: float | None
     method: str
@@ -59,25 +61,27 @@ def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
     if h is not None:
         objective = max(gap_form(h, w_hat, w)[1], 0.0)
         rel = objective / output_energy(h, w_hat)
-    return PruneSolution(w, mask_support(w != 0.0), objective, rel, method, **extra)
+    return PruneSolution(w, w != 0.0, objective, rel, method, **extra)
 
 
-def backsolve_exact(h, w_hat, support: SupportMask) -> np.ndarray:
+def backsolve_exact(h, w_hat, support) -> np.ndarray:
     """Exact restricted least squares, column by column.
 
-    For each output column solves the normal equations of the layer
+    support is a boolean array shaped like w_hat, as support_of returns
+    it. For each output column solves the normal equations of the layer
     objective restricted to that column's support rows. Columns with an
     empty support come back zero. A singular restricted system raises
     DegenerateSupportError naming the offending column.
     """
-    h = validate_gram(h)
-    w_hat = as_matrix(w_hat, "dense weights")
-    if w_hat.shape[0] != h.shape[0] or support.mask.shape != w_hat.shape:
-        raise InvalidInputError("gram, weights, and support shapes do not conform")
-    g = h @ w_hat
-    w = np.zeros_like(w_hat)
-    for j in range(w_hat.shape[1]):
-        rows = np.flatnonzero(support.mask[:, j])
+    h, w_hat = check_instance(h, w_hat)
+    return _backsolve(h, h @ w_hat, check_support(support, w_hat.shape))
+
+
+def _backsolve(h: np.ndarray, g: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """backsolve_exact's kernel for checked arrays, given G = H W_hat."""
+    w = np.zeros_like(g)
+    for j in range(g.shape[1]):
+        rows = np.flatnonzero(support[:, j])
         if rows.size == 0:
             continue
         try:
@@ -93,13 +97,14 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
     """Global optimum by enumerating every support of size k.
 
     Only available for at most BRUTE_FORCE_LIMIT weights; the candidate
-    count explodes combinatorially beyond that. Supports whose restricted
-    system is singular cannot be certified by the exact solver and are
-    skipped. Objective ties resolve to the lexicographically smallest
-    support, which enumeration order provides for free.
+    count explodes combinatorially beyond that. The instance is checked
+    and G = H W_hat formed once; each candidate then goes straight to the
+    exact solver's kernel. Supports whose restricted system is singular
+    cannot be certified by the exact solver and are skipped. Objective
+    ties resolve to the lexicographically smallest support, which
+    enumeration order provides for free.
     """
-    h = validate_gram(h)
-    w_hat = as_matrix(w_hat, "dense weights")
+    h, w_hat = check_instance(h, w_hat)
     n_in, n_out = w_hat.shape
     size = n_in * n_out
     if size > BRUTE_FORCE_LIMIT:
@@ -108,17 +113,18 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
         )
     check_budget(Unstructured(k), w_hat.shape)
 
+    g = h @ w_hat
     best_w = None
     best_obj = np.inf
     for indices in combinations(range(size), k):
         mask = np.zeros(size, dtype=bool)
         mask[list(indices)] = True
-        candidate = SupportMask(mask=mask.reshape(n_in, n_out), count=k)
         try:
-            w = backsolve_exact(h, w_hat, candidate)
+            w = _backsolve(h, g, mask.reshape(n_in, n_out))
         except DegenerateSupportError:
             continue
-        obj = layer_objective(h, w_hat, w)
+        # Clamped at zero as layer_objective clamps it.
+        obj = max(gap_form(h, w_hat, w)[1], 0.0)
         if obj < best_obj:
             best_obj = obj
             best_w = w
@@ -138,11 +144,10 @@ def magnitude_prune(w_hat, budget: SparsityBudget, gram=None) -> PruneSolution:
 
     gram, when given, is validated and used only for the metrics.
     """
-    w_hat = as_matrix(w_hat, "dense weights")
-    if gram is not None:
-        gram = validate_gram(gram)
-        if w_hat.shape[0] != gram.shape[0]:
-            raise InvalidInputError("gram and weight shapes do not conform")
+    if gram is None:
+        w_hat = as_matrix(w_hat, "dense weights")
+    else:
+        gram, w_hat = check_instance(gram, w_hat)
     return _keep_best(np.abs(w_hat), w_hat, gram, budget, "magnitude")
 
 
@@ -156,10 +161,7 @@ def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution
     Gram diagonal only, ignoring cross-channel correlation, so it is an
     approximation of activation-aware selection rather than a solver.
     """
-    h = validate_gram(h)
-    w_hat = as_matrix(w_hat, "dense weights")
-    if w_hat.shape[0] != h.shape[0]:
-        raise InvalidInputError("gram and weight shapes do not conform")
+    h, w_hat = check_instance(h, w_hat)
     channel_norms = np.sqrt(np.clip(np.diag(h), 0.0, None))
     scores = np.abs(w_hat) * channel_norms[:, None]
     return _keep_best(scores, w_hat, h, budget, "activation_weighted")

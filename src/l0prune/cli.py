@@ -32,7 +32,7 @@ from .errors import (
     InvalidInputError,
     PruneError,
 )
-from .linalg import gram_from_activations, relative_error, validate_gram
+from .linalg import gram_from_activations, relative_error
 from .matrixio import read_matrix, write_matrix
 from .projections import NM, SparsityBudget, Unstructured, support_of
 
@@ -102,7 +102,7 @@ def _report_for(
         "stabilized": solution.stabilized,
         "objective": solution.objective,
         "rel_error": solution.rel_error,
-        "support_size": solution.support.count,
+        "support_size": int(np.count_nonzero(solution.support)),
         "pcg_iters_used": solution.pcg_iters_used,
         "polish_rounds": solution.polish_rounds,
         "lemma1_violations": lemma1,
@@ -149,7 +149,7 @@ def cmd_prune(args) -> int:
 def cmd_eval(args) -> int:
     w_hat = read_matrix(args.weights)
     w = read_matrix(args.pruned)
-    h = validate_gram(_load_gram(args))
+    h = _load_gram(args)
     print(f"{relative_error(h, w_hat, w):.6f}")
     return EXIT_OK
 
@@ -162,7 +162,7 @@ def cmd_oracle(args) -> int:
         support = support_of(read_matrix(args.pruned))
         w = backsolve_exact(h, w_hat, support)
         solution = build_solution(w, h, w_hat, "backsolve")
-        k = support.count
+        k = int(np.count_nonzero(support))
     else:
         solution = brute_force_support(h, w_hat, args.brute_k)
         k = args.brute_k

@@ -59,6 +59,15 @@ def validate_gram(h) -> np.ndarray:
     return h
 
 
+def check_instance(h, w_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a (Gram, dense weights) pair, run at every public entry."""
+    h = validate_gram(h)
+    w_hat = as_matrix(w_hat, "dense weights")
+    if w_hat.shape[0] != h.shape[0]:
+        raise InvalidInputError(f"gram {h.shape}, weights {w_hat.shape} do not conform")
+    return h, w_hat
+
+
 @dataclass(frozen=True, eq=False)
 class EigenCache:
     """Eigendecomposition H = Q diag(eigenvalues) Q^T of one solve's Gram.
@@ -81,7 +90,7 @@ class EigenCache:
 def eigendecompose(h: np.ndarray) -> EigenCache:
     """Factor a validated symmetric Gram matrix once for every penalty rho.
 
-    The caller has already run validate_gram; this only checks what the
+    The caller has already run check_instance; this only checks what the
     spectrum reveals. Eigenvalues in [-EIG_NEG_RTOL * max_eig, 0) are
     rounding noise and get clamped to zero; anything more negative means
     the input is not PSD.
@@ -98,11 +107,10 @@ def eigendecompose(h: np.ndarray) -> EigenCache:
 
 def layer_objective(h, w_hat, w) -> float:
     """Reconstruction gap tr((W_hat - W)^T H (W_hat - W)), clamped at zero."""
-    h = as_matrix(h, "gram")
-    w_hat = as_matrix(w_hat, "dense weights")
+    h, w_hat = check_instance(h, w_hat)
     w = as_matrix(w, "weights")
-    if h.shape != (w_hat.shape[0],) * 2 or w.shape != w_hat.shape:
-        raise InvalidInputError("shape mismatch between gram and weights")
+    if w.shape != w_hat.shape:
+        raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
     # The quadratic form can go mildly negative from rounding on PSD input.
     return max(gap_form(h, w_hat, w)[1], 0.0)
 

@@ -7,70 +7,53 @@ onto S every iteration. A single step size couples the columns, which
 makes each iteration two dense matrix products instead of a per-column
 solve.
 
-pcg_refine is the public entry: it checks its arguments once and hands
-them to support_cg, the kernel, which trusts its arrays. The solver calls
-the kernel directly, from its polish, on arrays it built itself.
+pcg_refine is the public entry: it checks its arguments once (the Gram
+and dense weights through linalg.check_instance) and hands them to
+support_cg, the kernel, which trusts its arrays. The solver calls the
+kernel directly, from its polish, on arrays it built itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BreakdownError, InvalidInputError
-from .linalg import as_matrix
-from .projections import SupportMask
+from .linalg import as_matrix, check_instance
+from .projections import check_support
 
-# A starting residual at or below this norm counts as converged: no step.
+# A starting residual at or below this norm counts as converged: no step;
+# CG stops once the residual falls to REL_TOL of the starting one.
 ABS_FLOOR = 1e-14
+REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PcgConfig:
-    max_iters: int = 10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
-        if self.rel_tol < 0:
-            raise InvalidInputError("rel_tol must be nonnegative")
-
-
-def pcg_refine(
-    h,
-    w_hat,
-    support: SupportMask,
-    w0,
-    cfg: PcgConfig = PcgConfig(),
-) -> np.ndarray:
+def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     """Refine weights on a fixed support toward the restricted optimum.
 
     Parameters
     ----------
     h : square Gram matrix.
     w_hat : dense reference weights.
-    support : mask the solution must live on.
+    support : boolean mask shaped like w_hat that the solution must live on.
     w0 : warm start, already supported on the mask.
-    cfg : iteration cap and relative stopping tolerance.
+    max_iters : positive iteration cap.
 
     Returns the refined weights, supported on the mask. Raises
     BreakdownError when curvature along a search direction vanishes while
     the residual is still above tolerance, which signals a singular
     restricted system.
     """
-    h = as_matrix(h, "gram")
-    w_hat = as_matrix(w_hat, "dense weights")
+    h, w_hat = check_instance(h, w_hat)
+    support = check_support(support, w_hat.shape)
     w0 = as_matrix(w0, "warm start")
-    if h.shape[0] != h.shape[1] or h.shape[0] != w_hat.shape[0]:
-        raise InvalidInputError("gram and weight shapes do not conform")
-    if w0.shape != w_hat.shape or support.mask.shape != w_hat.shape:
-        raise InvalidInputError("support or warm start shape mismatch")
-    if np.any(w0[~support.mask] != 0.0):
+    if w0.shape != w_hat.shape:
+        raise InvalidInputError(f"warm start {w0.shape} not shaped like {w_hat.shape}")
+    if np.any(w0[~support] != 0.0):
         raise InvalidInputError("warm start has mass outside the support")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise InvalidInputError(f"max_iters must be a positive integer: {max_iters!r}")
 
-    return support_cg(h, w_hat, support.mask, w0, cfg)[0]
+    return support_cg(h, w_hat, support, w0, max_iters)[0]
 
 
 def support_cg(
@@ -78,7 +61,7 @@ def support_cg(
     w_hat: np.ndarray,
     mask: np.ndarray,
     w0: np.ndarray,
-    cfg: PcgConfig,
+    max_iters: int,
 ) -> tuple[np.ndarray, int, float]:
     """Preconditioned CG on a fixed support, for arrays already checked.
 
@@ -109,11 +92,11 @@ def support_cg(
     tmp = np.empty_like(w)
     rel_residual = 1.0
     iterations = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         np.dot(h, p, out=hp)
         denom = np.vdot(p, hp)
         if denom <= 0.0:
-            if rel_residual <= cfg.rel_tol:
+            if rel_residual <= REL_TOL:
                 break
             raise BreakdownError(
                 f"curvature {denom:.3e} along search direction with residual "
@@ -128,7 +111,7 @@ def support_cg(
         np.multiply(r, m_inv, out=z)
         iterations += 1
         rel_residual = float(np.linalg.norm(r)) / r0_norm
-        if rel_residual <= cfg.rel_tol:
+        if rel_residual <= REL_TOL:
             break
         rz_new = np.vdot(r, z)
         if rz_new == 0.0:

@@ -74,31 +74,24 @@ def budget_size(budget: SparsityBudget, shape: tuple[int, int]) -> int:
     return budget.n * (n_in // budget.m) * n_out
 
 
-@dataclass(frozen=True, eq=False)
-class SupportMask:
-    """Boolean nonzero pattern with its population count cached."""
-
-    mask: np.ndarray
-    count: int
+def support_of(a) -> np.ndarray:
+    """Support (exact-nonzero pattern) of a matrix, as a boolean array."""
+    return as_matrix(a, "matrix") != 0.0
 
 
-def support_of(a) -> SupportMask:
-    """Support (exact-nonzero pattern) of a matrix."""
-    return mask_support(as_matrix(a, "matrix") != 0.0)
+def check_support(support, shape: tuple[int, int]) -> np.ndarray:
+    """Reject a support that is not a boolean array of the given shape."""
+    support = np.asarray(support)
+    if support.dtype != bool or support.shape != shape:
+        raise InvalidInputError(f"support must be a boolean array of shape {shape}")
+    return support
 
 
-def mask_support(mask: np.ndarray) -> SupportMask:
-    """Wrap a boolean pattern with its population count."""
-    return SupportMask(mask=mask, count=int(np.count_nonzero(mask)))
-
-
-def support_change(a: SupportMask, b: SupportMask) -> int:
-    """Size of the symmetric difference between two supports."""
-    if a.mask.shape != b.mask.shape:
-        raise InvalidInputError(
-            f"support shapes differ: {a.mask.shape} vs {b.mask.shape}"
-        )
-    return int(np.count_nonzero(a.mask ^ b.mask))
+def support_change(a: np.ndarray, b: np.ndarray) -> int:
+    """Size of the symmetric difference between two boolean supports."""
+    if a.shape != b.shape:
+        raise InvalidInputError(f"support shapes differ: {a.shape} vs {b.shape}")
+    return int(np.count_nonzero(a ^ b))
 
 
 def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:

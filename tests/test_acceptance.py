@@ -150,8 +150,7 @@ def test_2_pcg_matches_backsolve(announce):
         support = lp.magnitude_prune(w_hat, budget).support
         exact = lp.backsolve_exact(h, w_hat, support)
         refined = lp.pcg_refine(
-            h, w_hat, support, np.zeros_like(w_hat),
-            lp.PcgConfig(max_iters=6 * n_in, rel_tol=1e-8),
+            h, w_hat, support, np.zeros_like(w_hat), max_iters=6 * n_in,
         )
         worst = max(
             worst,
@@ -335,7 +334,7 @@ def test_8_performance_sanity(announce):
     sol = lp.admm_solve(h, w_hat, budget)
     solve_seconds = time.perf_counter() - start
 
-    w0 = np.where(sol.support.mask, w_hat, 0.0)
+    w0 = np.where(sol.support, w_hat, 0.0)
     backsolve_time = min(
         _timed(lambda: lp.backsolve_exact(h, w_hat, sol.support)) for _ in range(3)
     )

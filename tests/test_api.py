@@ -21,11 +21,9 @@ PUBLIC_API = [
     "MatrixFileError",
     "NM",
     "NonFiniteDataError",
-    "PcgConfig",
     "PruneError",
     "PruneSolution",
     "SparsityBudget",
-    "SupportMask",
     "TheoremBound",
     "TruncatedFileError",
     "Unstructured",
@@ -62,7 +60,7 @@ BENCH_NAMES = [
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
-    "l0prune.linalg": ["EigenCache", "eigendecompose", "validate_gram"],
+    "l0prune.linalg": ["EigenCache", "check_instance", "eigendecompose", "validate_gram"],
     "l0prune.projections": ["project", "support_change"],
 }
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -16,9 +17,10 @@ from l0prune import (
     magnitude_prune,
     support_of,
 )
-from l0prune.projections import SupportMask, project
+from l0prune import linalg
+from l0prune.projections import project
 
-from conftest import random_problem
+from conftest import count_calls, random_problem
 
 
 # --- backsolve_exact ---
@@ -29,7 +31,7 @@ def test_backsolve_identity_gram_masks():
     w_hat = rng.standard_normal((4, 2))
     support = support_of(magnitude_prune(w_hat, Unstructured(5)).w)
     out = backsolve_exact(np.eye(4), w_hat, support)
-    np.testing.assert_allclose(out, np.where(support.mask, w_hat, 0.0), atol=1e-14)
+    np.testing.assert_allclose(out, np.where(support, w_hat, 0.0), atol=1e-14)
 
 
 def test_backsolve_diagonal_gram_masks():
@@ -38,7 +40,7 @@ def test_backsolve_diagonal_gram_masks():
     h = np.diag([3.0, 1.0, 0.5, 2.0])
     support = support_of(magnitude_prune(w_hat, Unstructured(5)).w)
     out = backsolve_exact(h, w_hat, support)
-    np.testing.assert_allclose(out, np.where(support.mask, w_hat, 0.0), atol=1e-14)
+    np.testing.assert_allclose(out, np.where(support, w_hat, 0.0), atol=1e-14)
 
 
 def test_backsolve_first_order_optimality():
@@ -47,7 +49,7 @@ def test_backsolve_first_order_optimality():
     support = support_of(magnitude_prune(w_hat, Unstructured(9)).w)
     w = backsolve_exact(h, w_hat, support)
     residual = h @ (w - w_hat)
-    assert np.abs(residual[support.mask]).max() <= 1e-8 * np.abs(h @ w_hat).max()
+    assert np.abs(residual[support]).max() <= 1e-8 * np.abs(h @ w_hat).max()
 
 
 def test_backsolve_beats_every_feasible_competitor():
@@ -56,7 +58,7 @@ def test_backsolve_beats_every_feasible_competitor():
     support = support_of(magnitude_prune(w_hat, Unstructured(6)).w)
     best = layer_objective(h, w_hat, backsolve_exact(h, w_hat, support))
     for _ in range(100):
-        candidate = np.where(support.mask, rng.standard_normal(w_hat.shape), 0.0)
+        candidate = np.where(support, rng.standard_normal(w_hat.shape), 0.0)
         assert best <= layer_objective(h, w_hat, candidate) + 1e-9
 
 
@@ -64,7 +66,7 @@ def test_backsolve_empty_column_stays_zero():
     w_hat = np.ones((3, 2))
     mask = np.zeros((3, 2), dtype=bool)
     mask[:, 0] = True
-    out = backsolve_exact(np.eye(3), w_hat, SupportMask(mask=mask, count=3))
+    out = backsolve_exact(np.eye(3), w_hat, mask)
     assert not out[:, 1].any()
 
 
@@ -80,6 +82,16 @@ def test_backsolve_singular_support_names_column():
 def test_backsolve_shape_mismatch():
     with pytest.raises(InvalidInputError):
         backsolve_exact(np.eye(3), np.ones((4, 1)), support_of(np.ones((4, 1))))
+
+
+@pytest.mark.parametrize(
+    "support",
+    [np.ones((3, 2)), np.ones((3, 2), dtype=np.int8), np.ones((2, 3), dtype=bool)],
+    ids=["float", "int8", "transposed"],
+)
+def test_backsolve_support_must_be_boolean_and_shaped_like_weights(support):
+    with pytest.raises(InvalidInputError):
+        backsolve_exact(np.eye(3), np.ones((3, 2)), support)
 
 
 # --- brute_force_support ---
@@ -124,6 +136,24 @@ def test_brute_force_matches_manual_enumeration():
     assert sol.objective == pytest.approx(best, rel=1e-12)
 
 
+def test_brute_force_ties_go_to_the_first_support():
+    # Under the identity every single kept weight leaves the same objective.
+    w_hat = np.array([[1.0, -1.0], [1.0, 1.0]])
+    sol = brute_force_support(np.eye(2), w_hat, 1)
+    np.testing.assert_array_equal(sol.support, [[True, False], [False, False]])
+
+
+def test_brute_force_checks_its_inputs_once(monkeypatch):
+    # 792 candidate supports, but the instance is checked once: W_hat, the
+    # Gram (inside validate_gram) and the winning W.
+    counts = Counter()
+    for name in ("validate_gram", "as_matrix"):
+        count_calls(monkeypatch, linalg, name, counts)
+    h, w_hat = random_problem(np.random.default_rng(9), 4, 3)
+    brute_force_support(h, w_hat, 5)
+    assert counts == {"validate_gram": 1, "as_matrix": 3}
+
+
 def test_brute_force_lower_bounds_baselines():
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -152,7 +182,7 @@ def test_magnitude_objective_is_dropped_mass_under_identity():
     rng = np.random.default_rng(7)
     w_hat = rng.standard_normal((4, 3))
     sol = magnitude_prune(w_hat, Unstructured(7), gram=np.eye(4))
-    dropped = w_hat[~sol.support.mask]
+    dropped = w_hat[~sol.support]
     assert sol.objective == pytest.approx(float(np.sum(dropped**2)), rel=1e-12)
 
 
@@ -199,7 +229,7 @@ def test_activation_weighted_equals_magnitude_under_identity(n_in, budget):
     w_hat = rng.standard_normal((n_in, 3))
     aw = activation_weighted_prune(w_hat, np.eye(n_in), budget)
     mp = magnitude_prune(w_hat, budget)
-    np.testing.assert_array_equal(aw.support.mask, mp.support.mask)
+    np.testing.assert_array_equal(aw.support, mp.support)
 
 
 def test_activation_weighted_prefers_loud_channel():
@@ -219,7 +249,7 @@ def test_activation_weighted_matches_score_oracle():
     k = 10
     expected = set(map(tuple, np.argwhere(scores >= np.sort(scores, axis=None)[-k])))
     sol = activation_weighted_prune(w_hat, h, Unstructured(k))
-    got = set(map(tuple, np.argwhere(sol.support.mask)))
+    got = set(map(tuple, np.argwhere(sol.support)))
     assert got == expected
 
 
@@ -231,8 +261,8 @@ def test_solutions_respect_budget_and_recompute():
         activation_weighted_prune(w_hat, h, Unstructured(8)),
         brute_force_support(h[:3, :3], w_hat[:3, :2], 3),
     ):
-        assert sol.support.count <= 8
-        assert np.array_equal(sol.w != 0, sol.support.mask)
+        assert np.count_nonzero(sol.support) <= 8
+        assert np.array_equal(sol.w != 0, sol.support)
         recomputed = layer_objective(h[: sol.w.shape[0], : sol.w.shape[0]],
                                      w_hat[: sol.w.shape[0], : sol.w.shape[1]],
                                      sol.w)

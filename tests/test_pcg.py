@@ -4,7 +4,6 @@ import pytest
 from l0prune import (
     BreakdownError,
     InvalidInputError,
-    PcgConfig,
     Unstructured,
     backsolve_exact,
     layer_objective,
@@ -25,23 +24,23 @@ def test_identity_gram_full_support_converges_in_one_step():
     rng = np.random.default_rng(0)
     w_hat = rng.standard_normal((5, 3))
     mask = np.ones((5, 3), dtype=bool)
-    out, iterations, _ = support_cg(np.eye(5), w_hat, mask, np.zeros((5, 3)), PcgConfig())
+    out, iterations, _ = support_cg(np.eye(5), w_hat, mask, np.zeros((5, 3)), 10)
     np.testing.assert_allclose(out, w_hat, atol=1e-12)
     assert iterations == 1
 
 
 def test_empty_support_returns_warm_start_untouched():
     mask = np.zeros((3, 2), dtype=bool)
-    out, iterations, _ = support_cg(np.eye(3), np.ones((3, 2)), mask, np.zeros((3, 2)), PcgConfig())
+    out, iterations, _ = support_cg(np.eye(3), np.ones((3, 2)), mask, np.zeros((3, 2)), 10)
     assert not out.any()
     assert iterations == 0
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        PcgConfig(max_iters=0)
-    with pytest.raises(InvalidInputError):
-        PcgConfig(rel_tol=-1.0)
+    w_hat = np.ones((3, 2))
+    for max_iters in (0, -1, 2.5):
+        with pytest.raises(InvalidInputError):
+            pcg_refine(np.eye(3), w_hat, support_of(w_hat), np.zeros((3, 2)), max_iters)
 
 
 def test_warm_start_off_support_rejected():
@@ -58,7 +57,7 @@ def test_matches_backsolve_on_magnitude_support():
     h, w_hat = random_problem(rng, 6, 3)
     support = mp_support(w_hat, 9)  # 50% kept
     exact = backsolve_exact(h, w_hat, support)
-    out = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), PcgConfig(max_iters=36))
+    out = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), max_iters=36)
     assert np.linalg.norm(out - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
@@ -67,8 +66,8 @@ def test_result_stays_on_support():
     for seed in range(5):
         h, w_hat = random_problem(np.random.default_rng(seed), 8, 4)
         support = mp_support(w_hat, 12)
-        out = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), PcgConfig(max_iters=3))
-        assert not out[~support.mask].any()
+        out = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), max_iters=3)
+        assert not out[~support].any()
 
 
 def test_objective_nonincreasing_across_iteration_counts():
@@ -76,10 +75,10 @@ def test_objective_nonincreasing_across_iteration_counts():
     rng = np.random.default_rng(3)
     h, w_hat = random_problem(rng, 8, 3)
     support = mp_support(w_hat, 10)
-    w0 = np.where(support.mask, w_hat, 0.0)
+    w0 = np.where(support, w_hat, 0.0)
     objectives = [
         layer_objective(
-            h, w_hat, pcg_refine(h, w_hat, support, w0, PcgConfig(max_iters=t, rel_tol=0.0))
+            h, w_hat, pcg_refine(h, w_hat, support, w0, max_iters=t)
         )
         for t in range(1, 9)
     ]
@@ -91,7 +90,7 @@ def test_full_support_reaches_dense_weights():
     rng = np.random.default_rng(4)
     h, w_hat = random_problem(rng, 6, 2)
     support = support_of(np.ones_like(w_hat))
-    out = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), PcgConfig(max_iters=60))
+    out = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), max_iters=60)
     np.testing.assert_allclose(out, w_hat, atol=1e-6 * np.linalg.norm(w_hat))
 
 
@@ -99,9 +98,8 @@ def test_idempotent_at_convergence():
     rng = np.random.default_rng(5)
     h, w_hat = random_problem(rng, 6, 3)
     support = mp_support(w_hat, 9)
-    cfg = PcgConfig(max_iters=36)
-    once = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), cfg)
-    twice = pcg_refine(h, w_hat, support, once, cfg)
+    once = pcg_refine(h, w_hat, support, np.zeros_like(w_hat), max_iters=36)
+    twice = pcg_refine(h, w_hat, support, once, max_iters=36)
     obj_once = layer_objective(h, w_hat, once)
     obj_twice = layer_objective(h, w_hat, twice)
     assert abs(obj_twice - obj_once) <= 1e-8 * max(1.0, obj_once)
@@ -112,7 +110,7 @@ def test_exact_warm_start_returns_immediately():
     h, w_hat = random_problem(rng, 5, 2)
     support = mp_support(w_hat, 6)
     exact = backsolve_exact(h, w_hat, support)
-    out, iterations, _ = support_cg(h, w_hat, support.mask, exact, PcgConfig())
+    out, iterations, _ = support_cg(h, w_hat, support, exact, 10)
     # The residual starts at rounding level, so no meaningful work happens.
     assert iterations <= 1
     np.testing.assert_allclose(out, exact, atol=1e-10)
@@ -129,6 +127,17 @@ def test_breakdown_on_vanishing_curvature():
         pcg_refine(h, w_hat, support, np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize(
+    "support",
+    [np.ones((3, 2)), np.ones((3, 2), dtype=np.int8), np.ones((2, 3), dtype=bool)],
+    ids=["float", "int8", "transposed"],
+)
+def test_support_must_be_boolean_and_shaped_like_weights(support):
+    w_hat = np.ones((3, 2))
+    with pytest.raises(InvalidInputError):
+        pcg_refine(np.eye(3), w_hat, support, np.zeros((3, 2)))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(InvalidInputError):
         pcg_refine(
@@ -141,6 +150,6 @@ def test_stats_report_final_relative_residual():
     h, w_hat = random_problem(rng, 6, 3)
     support = mp_support(w_hat, 9)
     _, _, rel_residual = support_cg(
-        h, w_hat, support.mask, np.zeros_like(w_hat), PcgConfig(max_iters=36)
+        h, w_hat, support, np.zeros_like(w_hat), 36
     )
     assert rel_residual <= 1e-8

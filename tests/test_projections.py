@@ -252,19 +252,18 @@ def test_solution_zeros_have_no_sign_bit(budget):
 
 def test_support_of_zero_matrix():
     s = support_of(np.zeros((3, 2)))
-    assert s.count == 0 and not s.mask.any()
+    assert s.dtype == bool and s.shape == (3, 2) and not s.any()
 
 
 def test_support_of_diagonal():
     s = support_of(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert s.count == 2
-    np.testing.assert_array_equal(s.mask, np.eye(2, dtype=bool))
+    np.testing.assert_array_equal(s, np.eye(2, dtype=bool))
 
 
 @given(matrix_and_k())
 def test_support_count_after_projection(case):
     a, k = case
-    assert support_of(project(a, Unstructured(k))).count == min(k, np.count_nonzero(a))
+    assert np.count_nonzero(support_of(project(a, Unstructured(k)))) == min(k, np.count_nonzero(a))
 
 
 def test_support_change_trivia():
