@@ -28,16 +28,10 @@ from .diagnostics import (
     theorem1_residual_bound,
 )
 from .errors import (
-    BadMagicError,
-    BreakdownError,
     DegenerateInstanceError,
     DegenerateSupportError,
     InvalidInputError,
-    InvalidTraceError,
-    MatrixFileError,
-    NonFiniteDataError,
     PruneError,
-    TruncatedFileError,
 )
 from .linalg import gram_from_activations, layer_objective, relative_error
 from .matrixio import read_matrix, write_matrix
@@ -46,22 +40,16 @@ from .projections import NM, SparsityBudget, Unstructured, support_of
 
 __all__ = [
     "AdmmConfig",
-    "BadMagicError",
-    "BreakdownError",
     "DegenerateInstanceError",
     "DegenerateSupportError",
     "InvalidInputError",
-    "InvalidTraceError",
     "IterRecord",
     "IterTrace",
-    "MatrixFileError",
     "NM",
-    "NonFiniteDataError",
     "PruneError",
     "PruneSolution",
     "SparsityBudget",
     "TheoremBound",
-    "TruncatedFileError",
     "Unstructured",
     "Violation",
     "activation_weighted_prune",

@@ -32,8 +32,8 @@ and carried into the next record as its pre-step norms. Through the loop
 a solve holds these buffers, the scaled W_hat and Gram, Q, and during a
 top-k projection the copy np.partition reorders. Only D and rho outlive
 the loop: the other buffers and Q are released before the polish, which
-reads only the Gram's spectral norm, so they do not set the solve's
-memory peak.
+reads only the Gram's spectral norm and refines in D's own buffer, so
+the loop, not the polish, sets the solve's memory peak.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -42,7 +42,7 @@ separable optimum. So after its refinement the polish runs monotone
 iterative hard-thresholding rounds (the local search CHITA runs on this
 objective). Each round takes D' = project(W + H (W_hat - W) / lambda_max),
 stops when D' keeps the current support, refines on the support of D'
-warm-started from D', and keeps the result only if the objective strictly
+in D' itself, and keeps the result only if the objective strictly
 falls. With step 1 / lambda_max a round never raises the objective, and
 at a fixed point the rounds cost one product and one projection.
 linalg.gap_form gives each objective and descent and frees W_hat - W;
@@ -274,9 +274,11 @@ def polish(
 
     Works on the rescaled problem, a congruence of the original, so the
     objectives compared are the real ones; spectral_norm is its Gram's.
-    The refinement starts from d; at most cfg.max_iters rounds follow, and
-    every refinement runs at most cfg.pcg_iters iterations. Returns the
-    weights, the rounds accepted and the CG iterations of every refinement.
+    The polish consumes d: the refinement runs in its buffer. At most
+    cfg.max_iters rounds follow, each refining its projected D' in D'
+    itself, and every refinement runs at most cfg.pcg_iters iterations.
+    Returns the weights, the rounds accepted and the CG iterations of
+    every refinement.
     """
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / spectral_norm

@@ -54,9 +54,8 @@ class PruneSolution:
 def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
     """Package w with its support, metrics when h is given, and extra fields.
 
-    Checks only w: every caller has already checked h and w_hat.
+    Checks nothing: every caller builds w itself from arrays it checked.
     """
-    w = as_matrix(w, "weights")
     objective = rel = None
     if h is not None:
         objective = max(gap_form(h, w_hat, w)[1], 0.0)

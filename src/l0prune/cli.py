@@ -26,12 +26,7 @@ from .baselines import (
     magnitude_prune,
 )
 from .diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
-from .errors import (
-    BreakdownError,
-    DegenerateInstanceError,
-    InvalidInputError,
-    PruneError,
-)
+from .errors import DegenerateInstanceError, InvalidInputError, PruneError
 from .linalg import gram_from_activations, relative_error
 from .matrixio import read_matrix, write_matrix
 from .projections import NM, SparsityBudget, Unstructured, support_of
@@ -91,8 +86,7 @@ def _report_for(
     if solution.trace is not None and solution.trace.records:
         lemma1 = len(check_lemma1(solution.trace))
         lemma2 = len(check_lemma2(solution.trace))
-        horizon = max(1000, len(solution.trace.records))
-        ratio = theorem1_residual_bound(solution.trace, horizon=horizon).worst_ratio
+        ratio = theorem1_residual_bound(solution.trace).worst_ratio
     return {
         "method": method,
         "budget": budget_block,
@@ -244,13 +238,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
         return args.func(args)
-    except (DegenerateInstanceError, BreakdownError) as exc:
+    except DegenerateInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidInputError, PruneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (PruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidTraceError
+from .errors import InvalidInputError
 
 REL_SLACK = 1e-6
+# The residual bound's penalty sum runs over at least this many iterations.
+HORIZON = 1000
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class Violation:
 
 def _require_records(trace: IterTrace) -> None:
     if not trace.records:
-        raise InvalidTraceError("trace has no records")
+        raise InvalidInputError("trace has no records")
 
 
 def _violated(lhs: float, rhs: float, guard: float) -> bool:
@@ -114,7 +116,7 @@ def check_lemma2(trace: IterTrace) -> list[Violation]:
     _require_records(trace)
     rhos = [rec.rho for rec in trace.records]
     if any(b < a for a, b in zip(rhos, rhos[1:])):
-        raise InvalidTraceError("rho decreases along the trace")
+        raise InvalidInputError("rho decreases along the trace")
 
     first = trace.records[0]
     a0 = first.d_norm + first.v_norm / first.rho
@@ -141,7 +143,7 @@ class TheoremBound:
     worst_ratio: float
 
 
-def theorem1_residual_bound(trace: IterTrace, horizon: int = 1000) -> TheoremBound:
+def theorem1_residual_bound(trace: IterTrace) -> TheoremBound:
     """Evaluate the residual decay bound max-residual <= C / rho_t.
 
     Computes a concrete constant from the trace,
@@ -149,17 +151,15 @@ def theorem1_residual_bound(trace: IterTrace, horizon: int = 1000) -> TheoremBou
         C = 2g + 2h * exp(3h * S) * (g + 3g * S),
 
     where S proxies the infinite penalty sum by the realized sum of
-    1/rho_t extended at the final rho out to `horizon` iterations. The
-    exponential can overflow to infinity for slowly growing penalties;
-    that only loosens the bound. Returns the constant together with the
+    1/rho_t, extended at the final rho out to HORIZON iterations when the
+    trace is shorter. The exponential can overflow to infinity for slowly
+    growing penalties; that only loosens the bound. Returns the constant together with the
     worst observed ratio rho_t * max(d_change, wd_gap) / C, which should
     never meaningfully exceed 1.
     """
     _require_records(trace)
-    if horizon < len(trace.records):
-        raise InvalidTraceError("horizon shorter than the trace itself")
     sum_inv = sum(1.0 / rec.rho for rec in trace.records)
-    sum_inv += (horizon - len(trace.records)) / trace.records[-1].rho
+    sum_inv += max(HORIZON - len(trace.records), 0) / trace.records[-1].rho
     g = trace.g_norm
     h = trace.h_spectral
     try:

@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""One exception type per way a caller handles an error.
 
-The CLI maps these onto exit codes: invalid input (including file
-format problems) exits with 2, degenerate instances exit with 3.
+The CLI exits with 3 on a DegenerateInstanceError and with 2 on any other
+PruneError: invalid arguments, malformed matrix files, bad traces.
+Brute-force enumeration skips a candidate that raises DegenerateSupportError.
 """
 
 
@@ -10,40 +11,16 @@ class PruneError(Exception):
 
 
 class InvalidInputError(PruneError):
-    """Malformed arguments: bad shapes, non-finite data, out-of-range budgets."""
+    """Malformed input: bad arguments, matrix files or iteration traces."""
 
 
 class DegenerateInstanceError(PruneError):
-    """Instance carries no usable signal, e.g. an all-zero Gram diagonal."""
+    """No usable signal (e.g. an all-zero Gram diagonal), or a singular system."""
 
 
 class DegenerateSupportError(DegenerateInstanceError):
     """A support column induces a singular restricted system."""
 
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int):
         self.column = column
-        super().__init__(message or f"singular restricted system in column {column}")
-
-
-class BreakdownError(PruneError):
-    """Conjugate-gradient curvature vanished while the residual is nonzero."""
-
-
-class InvalidTraceError(InvalidInputError):
-    """Iteration trace violates a structural requirement, e.g. decreasing rho."""
-
-
-class MatrixFileError(InvalidInputError):
-    """Generic matrix-file format problem (bad version, dtype, or sizes)."""
-
-
-class BadMagicError(MatrixFileError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedFileError(MatrixFileError):
-    """File ends before the declared payload is complete."""
-
-
-class NonFiniteDataError(MatrixFileError):
-    """Payload contains NaN or infinite values."""
+        super().__init__(f"singular restricted system in column {column}")

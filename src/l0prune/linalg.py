@@ -30,21 +30,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def gram_from_activations(x, block_rows: int = 4096) -> np.ndarray:
-    """Accumulate H = X^T X over row blocks.
-
-    Blocked accumulation keeps the working set at block_rows x n_in no
-    matter how many samples the activation matrix carries. The result is
-    symmetrized to kill rounding skew.
-    """
+def gram_from_activations(x) -> np.ndarray:
+    """H = X^T X in one product, symmetrized to kill rounding skew."""
     x = as_matrix(x, "activations")
-    if block_rows < 1:
-        raise InvalidInputError("block_rows must be positive")
-    n = x.shape[1]
-    h = np.zeros((n, n))
-    for start in range(0, x.shape[0], block_rows):
-        blk = x[start : start + block_rows]
-        h += blk.T @ blk
+    h = x.T @ x
     return (h + h.T) / 2.0
 
 

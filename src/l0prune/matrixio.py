@@ -22,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    InvalidInputError,
-    MatrixFileError,
-    NonFiniteDataError,
-    TruncatedFileError,
-)
+from .errors import InvalidInputError
 from .linalg import as_matrix
 
 MAGIC = b"AMTX"
@@ -56,31 +50,31 @@ def read_matrix(path) -> np.ndarray:
     """Read a matrix file, returning float64 regardless of stored dtype."""
     blob = Path(path).read_bytes()
     if len(blob) >= 4 and blob[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}")
+        raise InvalidInputError(f"bad magic {blob[:4]!r}")
     if len(blob) < HEADER.size:
-        raise TruncatedFileError(
+        raise InvalidInputError(
             f"header needs {HEADER.size} bytes, file has {len(blob)}"
         )
     _, version, code, flags, rows, cols = HEADER.unpack_from(blob)
     if version != VERSION:
-        raise MatrixFileError(f"unsupported version {version}")
+        raise InvalidInputError(f"unsupported version {version}")
     if code not in DTYPE_CODES:
-        raise MatrixFileError(f"unknown dtype code {code}")
+        raise InvalidInputError(f"unknown dtype code {code}")
     if flags != 0:
-        raise MatrixFileError(f"unsupported flags {flags:#x}")
+        raise InvalidInputError(f"unsupported flags {flags:#x}")
     if rows < 1 or cols < 1:
-        raise MatrixFileError(f"dimensions must be positive, got {rows}x{cols}")
+        raise InvalidInputError(f"dimensions must be positive, got {rows}x{cols}")
     np_dtype = DTYPE_CODES[code]
     expected = HEADER.size + rows * cols * np_dtype.itemsize
     if len(blob) < expected:
-        raise TruncatedFileError(
+        raise InvalidInputError(
             f"payload needs {expected - HEADER.size} bytes, "
             f"file has {len(blob) - HEADER.size}"
         )
     if len(blob) > expected:
-        raise MatrixFileError(f"{len(blob) - expected} trailing bytes after payload")
+        raise InvalidInputError(f"{len(blob) - expected} trailing bytes after payload")
     flat = np.frombuffer(blob, dtype=np_dtype, offset=HEADER.size)
     m = flat.reshape(rows, cols).astype(np.float64)
     if not np.all(np.isfinite(m)):
-        raise NonFiniteDataError("payload contains non-finite values")
+        raise InvalidInputError("payload contains non-finite values")
     return m

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BreakdownError, InvalidInputError
+from .errors import DegenerateInstanceError, InvalidInputError
 from .linalg import as_matrix, check_instance
 from .projections import check_support
 
@@ -38,10 +38,10 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     w0 : warm start, already supported on the mask.
     max_iters : positive iteration cap.
 
-    Returns the refined weights, supported on the mask. Raises
-    BreakdownError when curvature along a search direction vanishes while
-    the residual is still above tolerance, which signals a singular
-    restricted system.
+    Returns the refined weights, supported on the mask; w0 is left as it
+    was. Raises DegenerateInstanceError when curvature along a search
+    direction vanishes while the residual is still above tolerance, which
+    signals a singular restricted system.
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
@@ -53,23 +53,25 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise InvalidInputError(f"max_iters must be a positive integer: {max_iters!r}")
 
-    return support_cg(h, w_hat, support, w0, max_iters)[0]
+    # as_matrix may hand back the caller's own array, and the kernel
+    # refines in place.
+    return support_cg(h, w_hat, support, w0.copy(), max_iters)[0]
 
 
 def support_cg(
     h: np.ndarray,
     w_hat: np.ndarray,
     mask: np.ndarray,
-    w0: np.ndarray,
+    w: np.ndarray,
     max_iters: int,
 ) -> tuple[np.ndarray, int, float]:
     """Preconditioned CG on a fixed support, for arrays already checked.
 
     Takes a conforming finite Gram, dense weights, boolean support mask
-    and a warm start that vanishes off the mask, as pcg_refine checks
-    them. Returns the refined weights, the iterations run and the final
-    residual relative to the starting one. Raises BreakdownError as
-    pcg_refine documents.
+    and a warm start w that vanishes off the mask, as pcg_refine checks
+    them. Refines in place: returns w, overwritten with the refined
+    weights, the iterations run and the final residual relative to the
+    starting one. Raises DegenerateInstanceError as pcg_refine documents.
     """
     # Jacobi preconditioner from the Gram diagonal; dead coordinates get 1
     # so the scaling stays finite (their residual rows are zero anyway).
@@ -78,7 +80,6 @@ def support_cg(
     np.reciprocal(m_inv, out=m_inv)
     m_inv = m_inv[:, None]
 
-    w = w0.copy()
     r = h @ (w_hat - w)
     r *= mask
     r0_norm = float(np.linalg.norm(r))
@@ -98,7 +99,7 @@ def support_cg(
         if denom <= 0.0:
             if rel_residual <= REL_TOL:
                 break
-            raise BreakdownError(
+            raise DegenerateInstanceError(
                 f"curvature {denom:.3e} along search direction with residual "
                 f"{rel_residual:.3e} of start"
             )

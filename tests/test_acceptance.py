@@ -211,7 +211,7 @@ def test_5_theory_suite(
         trace = run["trace"]
         lemma1 += len(lp.check_lemma1(trace))
         lemma2 += len(lp.check_lemma2(trace))
-        bound = lp.theorem1_residual_bound(trace, horizon=max(1000, len(trace)))
+        bound = lp.theorem1_residual_bound(trace)
         worst_ratio = max(worst_ratio, bound.worst_ratio)
         if run["stabilized"] and run["rho_final"] >= 1000.0 * run["rho0"]:
             gap_checked += 1

@@ -10,22 +10,16 @@ from l0prune.cli import build_parser
 
 PUBLIC_API = [
     "AdmmConfig",
-    "BadMagicError",
-    "BreakdownError",
     "DegenerateInstanceError",
     "DegenerateSupportError",
     "InvalidInputError",
-    "InvalidTraceError",
     "IterRecord",
     "IterTrace",
-    "MatrixFileError",
     "NM",
-    "NonFiniteDataError",
     "PruneError",
     "PruneSolution",
     "SparsityBudget",
     "TheoremBound",
-    "TruncatedFileError",
     "Unstructured",
     "Violation",
     "activation_weighted_prune",

@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -285,9 +287,18 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 def test_corrupt_file_exits_2(workspace, tmp_path, capsys):
     paths, _, _ = workspace
+    blob = paths["weights"].read_bytes()
+    nan = struct.pack("<d", math.nan)
+    cases = [
+        (b"XXXX" + bytes(28), "bad magic b'XXXX'"),
+        (blob[:-3], "payload needs 800 bytes, file has 797"),
+        (blob[:24] + nan + blob[32:], "payload contains non-finite values"),
+    ]
     bad = tmp_path / "bad.amtx"
-    bad.write_bytes(b"XXXX" + bytes(28))
-    assert run("prune", "--weights", bad, "--gram", paths["gram"], "--k", 3) == 2
+    for content, message in cases:
+        bad.write_bytes(content)
+        assert run("prune", "--weights", bad, "--gram", paths["gram"], "--k", 3) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bad_nm_string_exits_2(workspace, capsys):
@@ -349,3 +360,22 @@ def test_degenerate_instance_exits_3(workspace, tmp_path, capsys):
         "--gram", zeros,
     )
     assert code == 3
+
+
+def test_oracle_on_a_singular_support_exits_3_naming_the_column(tmp_path, capsys):
+    # Input channel 2 is dead, so any column that keeps row 2 has a
+    # singular restricted system; column 1 is the first to keep it.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((32, 4))
+    x[:, 2] = 0.0
+    w_hat = rng.standard_normal((4, 3))
+    pruned = w_hat.copy()
+    pruned[2, [0, 2]] = 0.0
+    for name, m in [("w", w_hat), ("h", gram_from_activations(x)), ("p", pruned)]:
+        write_matrix(tmp_path / f"{name}.amtx", m)
+    code = run(
+        "oracle", "--weights", tmp_path / "w.amtx", "--gram", tmp_path / "h.amtx",
+        "--pruned", tmp_path / "p.amtx",
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: singular restricted system in column 1\n"

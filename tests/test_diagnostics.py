@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from l0prune import (
-    InvalidTraceError,
+    InvalidInputError,
     IterRecord,
     IterTrace,
     Unstructured,
@@ -66,7 +66,7 @@ def test_lemma1_exempts_the_dense_start():
 
 
 def test_lemma1_empty_trace_rejected():
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(InvalidInputError, match="trace has no records"):
         check_lemma1(IterTrace())
 
 
@@ -94,7 +94,7 @@ def test_lemma2_flags_norm_growth_beyond_bound():
 
 def test_lemma2_requires_monotone_rho():
     records = [record(rho=1.0), record(rho=0.5)]
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(InvalidInputError, match="rho decreases along the trace"):
         check_lemma2(IterTrace(records=records, h_spectral=1.0, g_norm=1.0))
 
 
@@ -112,7 +112,7 @@ def test_lemma2_overflow_degrades_to_vacuous_bound():
 @pytest.mark.parametrize("seed", range(5))
 def test_theorem_ratio_within_bound_on_solver_traces(seed):
     trace = solver_trace(seed)
-    out = theorem1_residual_bound(trace, horizon=max(1000, len(trace)))
+    out = theorem1_residual_bound(trace)
     assert out.worst_ratio <= 1.0 + 1e-6
 
 
@@ -120,9 +120,9 @@ def test_theorem_constant_matches_hand_formula():
     rhos = [1.0, 2.0, 4.0, 8.0]
     records = [record(rho=r, d_change=0.5, wd_gap=0.25) for r in rhos]
     trace = IterTrace(records=records, h_spectral=0.5, g_norm=2.0)
-    out = theorem1_residual_bound(trace, horizon=10)
+    out = theorem1_residual_bound(trace)
 
-    s = sum(1.0 / r for r in rhos) + (10 - 4) / 8.0
+    s = sum(1.0 / r for r in rhos) + (1000 - 4) / 8.0
     g, h = 2.0, 0.5
     c_hat = 2 * g + 2 * h * math.exp(3 * h * s) * (g + 3 * g * s)
     worst = max(r * 0.5 for r in rhos)
@@ -143,13 +143,6 @@ def test_theorem_overflow_is_vacuously_satisfied():
     assert out.worst_ratio == 0.0
 
 
-def test_theorem_horizon_must_cover_the_trace():
-    records = [record() for _ in range(5)]
-    trace = IterTrace(records=records, h_spectral=1.0, g_norm=1.0)
-    with pytest.raises(InvalidTraceError):
-        theorem1_residual_bound(trace, horizon=4)
-
-
 def test_theorem_empty_trace_rejected():
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(InvalidInputError, match="trace has no records"):
         theorem1_residual_bound(IterTrace())

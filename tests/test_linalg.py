@@ -53,17 +53,6 @@ def test_gram_matches_outer_product_sum():
     np.testing.assert_allclose(gram_from_activations(x), expected, rtol=1e-12)
 
 
-def test_gram_blocked_accumulation_matches_direct():
-    # Row-block streaming must not change the result beyond symmetrization.
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((37, 5))
-    np.testing.assert_allclose(
-        gram_from_activations(x, block_rows=7),
-        gram_from_activations(x),
-        rtol=1e-13,
-    )
-
-
 def test_gram_output_is_exactly_symmetric():
     rng = np.random.default_rng(2)
     h = gram_from_activations(rng.standard_normal((50, 6)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l0prune import (
-    BreakdownError,
+    DegenerateInstanceError,
     InvalidInputError,
     Unstructured,
     backsolve_exact,
@@ -94,6 +94,19 @@ def test_full_support_reaches_dense_weights():
     np.testing.assert_allclose(out, w_hat, atol=1e-6 * np.linalg.norm(w_hat))
 
 
+def test_refine_leaves_the_warm_start_unchanged():
+    # The kernel refines in its warm-start buffer; the public entry must
+    # not hand it the caller's array, which as_matrix passes through.
+    rng = np.random.default_rng(8)
+    h, w_hat = random_problem(rng, 6, 3)
+    support = mp_support(w_hat, 9)
+    w0 = np.where(support, w_hat, 0.0)
+    before = w0.copy()
+    out = pcg_refine(h, w_hat, support, w0)
+    assert not np.array_equal(out, before)
+    np.testing.assert_array_equal(w0, before)
+
+
 def test_idempotent_at_convergence():
     rng = np.random.default_rng(5)
     h, w_hat = random_problem(rng, 6, 3)
@@ -110,7 +123,8 @@ def test_exact_warm_start_returns_immediately():
     h, w_hat = random_problem(rng, 5, 2)
     support = mp_support(w_hat, 6)
     exact = backsolve_exact(h, w_hat, support)
-    out, iterations, _ = support_cg(h, w_hat, support, exact, 10)
+    # The kernel refines in place, so it gets a copy to compare against.
+    out, iterations, _ = support_cg(h, w_hat, support, exact.copy(), 10)
     # The residual starts at rounding level, so no meaningful work happens.
     assert iterations <= 1
     np.testing.assert_allclose(out, exact, atol=1e-10)
@@ -123,7 +137,7 @@ def test_breakdown_on_vanishing_curvature():
     h = np.diag([1.0, -1.0])
     w_hat = np.array([[0.0], [1.0]])
     support = support_of(np.ones((2, 1)))
-    with pytest.raises(BreakdownError):
+    with pytest.raises(DegenerateInstanceError, match="curvature .* along search direction"):
         pcg_refine(h, w_hat, support, np.zeros((2, 1)))
 
 
