@@ -1,11 +1,12 @@
 """Support-restricted conjugate gradient refinement.
 
 Solves min ||X(W_hat - W)||_F^2 over matrices supported on a fixed mask S
-by running diagonally preconditioned CG on the normal equations
-H W = H W_hat for all output columns at once, re-projecting the residual
-onto S every iteration. A single step size couples the columns, which
-makes each iteration two dense matrix products instead of a per-column
-solve.
+by running CG on the normal equations H W = H W_hat for all output
+columns at once, re-projecting the residual onto S every iteration. A
+single step size couples the columns, which makes each iteration two
+dense matrix products instead of a per-column solve. The Jacobi
+preconditioner is applied once, as a rescaling to a unit Gram diagonal:
+the solver's own, or pcg_refine's on the Gram it is given.
 
 pcg_refine is the public entry: it checks its arguments once (the Gram
 and dense weights through linalg.check_instance) and hands them to
@@ -53,9 +54,14 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise InvalidInputError(f"max_iters must be a positive integer: {max_iters!r}")
 
-    # as_matrix may hand back the caller's own array, and the kernel
-    # refines in place.
-    return support_cg(h, w_hat, support, w0.copy(), max_iters)[0]
+    # Jacobi preconditioning: CG on D^-1/2 H D^-1/2 with weights D^1/2 W,
+    # D the Gram diagonal, 1 where nonpositive so the scaling stays finite.
+    # Scaling copies the warm start, which the kernel refines in place.
+    diag = np.diag(h)
+    root = np.sqrt(np.where(diag > 0.0, diag, 1.0))[:, None]
+    w = support_cg(h / root / root.T, w_hat * root, support, w0 * root, max_iters)[0]
+    w /= root
+    return w
 
 
 def support_cg(
@@ -65,30 +71,22 @@ def support_cg(
     w: np.ndarray,
     max_iters: int,
 ) -> tuple[np.ndarray, int, float]:
-    """Preconditioned CG on a fixed support, for arrays already checked.
+    """Plain CG on a fixed support, for arrays already checked and rescaled.
 
     Takes a conforming finite Gram, dense weights, boolean support mask
     and a warm start w that vanishes off the mask, as pcg_refine checks
-    them. Refines in place: returns w, overwritten with the refined
-    weights, the iterations run and the final residual relative to the
-    starting one. Raises DegenerateInstanceError as pcg_refine documents.
+    and rescales them. Refines in place: returns w, overwritten with the
+    refined weights, the iterations run and the final residual relative
+    to the first. Raises DegenerateInstanceError as pcg_refine documents.
     """
-    # Jacobi preconditioner from the Gram diagonal; dead coordinates get 1
-    # so the scaling stays finite (their residual rows are zero anyway).
-    m_inv = np.diag(h).copy()
-    m_inv[m_inv <= 0.0] = 1.0
-    np.reciprocal(m_inv, out=m_inv)
-    m_inv = m_inv[:, None]
-
     r = h @ (w_hat - w)
     r *= mask
     r0_norm = float(np.linalg.norm(r))
     if r0_norm <= ABS_FLOOR:
         return w, 0, 0.0
 
-    z = r * m_inv
-    p = z.copy()
-    rz = np.vdot(r, z)
+    p = r.copy()
+    rr = np.vdot(r, r)
     hp = np.empty_like(w)
     tmp = np.empty_like(w)
     rel_residual = 1.0
@@ -103,22 +101,18 @@ def support_cg(
                 f"curvature {denom:.3e} along search direction with residual "
                 f"{rel_residual:.3e} of start"
             )
-        alpha = rz / denom
+        alpha = rr / denom
         np.multiply(p, alpha, out=tmp)
         w += tmp
         np.multiply(hp, alpha, out=tmp)
         r -= tmp
         r *= mask
-        np.multiply(r, m_inv, out=z)
         iterations += 1
-        rel_residual = float(np.linalg.norm(r)) / r0_norm
+        rr_new = np.vdot(r, r)
+        rel_residual = float(np.sqrt(rr_new)) / r0_norm
         if rel_residual <= REL_TOL:
             break
-        rz_new = np.vdot(r, z)
-        if rz_new == 0.0:
-            break
-        beta = rz_new / rz
-        rz = rz_new
-        np.multiply(p, beta, out=tmp)
-        np.add(z, tmp, out=p)
+        p *= rr_new / rr
+        p += r
+        rr = rr_new
     return w, iterations, rel_residual

@@ -94,6 +94,26 @@ def test_full_support_reaches_dense_weights():
     np.testing.assert_allclose(out, w_hat, atol=1e-6 * np.linalg.norm(w_hat))
 
 
+def test_refine_is_invariant_under_diagonal_rescaling():
+    # Jacobi preconditioning makes the refinement see through a diagonal
+    # change of variables W = E W': on (E H E, E^-1 W_hat) it returns
+    # E^-1 times the refinement of (H, W_hat). Plain CG does not, and a
+    # few iterations on a badly scaled Gram show it.
+    for seed in range(5):
+        rng = np.random.default_rng(20 + seed)
+        h, w_hat = random_problem(rng, 12, 4)
+        e = 10.0 ** rng.uniform(-3.0, 3.0, 12)
+        h_e = h * e[:, None] * e[None, :]
+        support = mp_support(w_hat, 24)
+        w0 = np.where(support, w_hat, 0.0)
+        out = pcg_refine(h, w_hat, support, w0, max_iters=3)
+        out_e = pcg_refine(
+            (h_e + h_e.T) / 2.0, w_hat / e[:, None], support, w0 / e[:, None], max_iters=3
+        )
+        expected = out / e[:, None]
+        assert np.linalg.norm(out_e - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 def test_refine_leaves_the_warm_start_unchanged():
     # The kernel refines in its warm-start buffer; the public entry must
     # not hand it the caller's array, which as_matrix passes through.
