@@ -14,12 +14,12 @@ the support of D changed over the last CHECK_PERIOD iterations. Once the
 support stops changing the loop ends, and the polish below first solves
 for the optimal weights on the frozen support by conjugate gradient.
 
-H = Q diag(lambda) Q^T is factored once per solve, and the iterates are
-carried in its eigenbasis too: the state keeps Q^T G, Q^T D and Q^T V
-next to W, D and V. The ridge solve is then a division by lambda + rho,
-and an iteration costs two dense products, W = Q (Q^T W) and Q^T D;
-Q^T V follows V elementwise. Because Q is orthogonal, the trace norms
-||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
+H = Q diag(lambda) Q^T is factored once per solve into the state's q and
+lam, and the iterates live in that eigenbasis too: the state keeps Q^T G,
+Q^T D and Q^T V next to W, D and V. The ridge solve is then a division by
+lambda + rho, and an iteration costs two dense products, W = Q (Q^T W)
+and Q^T D; Q^T V follows V elementwise. Because Q is orthogonal, the
+trace norms ||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
 ||diag(lambda) Q^T V|| need no product at all.
 
 The step runs in place, in eight n x m buffers allocated once per solve:
@@ -32,8 +32,8 @@ and ||D||, ||V||, ||G - H D|| and ||H V|| are taken once after each step
 and carried into the next record as its pre-step norms. Through the loop
 a solve holds these buffers, the scaled W_hat and Gram, Q, and during a
 top-k projection the copy np.partition reorders. Only D and rho outlive
-the loop: the other buffers and Q are released before the polish, which
-reads only the Gram's spectral norm and refines in D's own buffer, so
+the loop: the state goes, and Q with it, before the polish, which reads
+only the Gram's spectral norm, lambda_max, and refines in D's buffer, so
 the loop, not the polish, sets the solve's memory peak.
 
 The loop can stop on a support near, but not at, a better one: on a
@@ -62,7 +62,7 @@ import numpy as np
 from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import EigenCache, check_instance, eigendecompose, gap_form
+from .linalg import EIG_NEG_RTOL, check_instance, eigendecompose, gap_form
 from .pcg import support_cg
 from .projections import (
     SparsityBudget, Unstructured, budget_size, project, support_change,
@@ -113,20 +113,21 @@ class ScaledProblem:
 
     scale holds the positive diagonal E with W = E W'; gram is E H E and
     w_hat is E^{-1} W_hat. Dead coordinates (vanishing Gram diagonal) are
-    recorded, decoupled from the Gram, and their dense rows zeroed, which
-    keeps every iterate exactly zero there.
+    decoupled from the Gram and their dense rows zeroed, which keeps every
+    iterate exactly zero there.
     """
 
     scale: np.ndarray
     gram: np.ndarray
     w_hat: np.ndarray
-    dead: np.ndarray
 
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     """Rescale the arrays admm_solve checked to a Gram with unit live diagonal."""
     diag = np.diag(h).copy()
     max_diag = float(diag.max())
+    if diag.min() < -EIG_NEG_RTOL * max(max_diag, 0.0):
+        raise InvalidInputError("gram is not positive semidefinite: negative diagonal")
     if max_diag <= 0.0:
         raise DegenerateInstanceError("gram diagonal is entirely zero")
     dead = diag <= DEAD_DIAG_RTOL * max_diag
@@ -144,14 +145,15 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     np.fill_diagonal(gram, live)
     w_scaled = w_hat / scale[:, None]
     w_scaled[dead, :] = 0.0
-    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled, dead=dead)
+    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
 
 
 @dataclass(eq=False)
 class AdmmState:
     """One solve's iterates and work buffers, advanced in place by admm_step.
 
-    qtg, qtd and qtv are Q^T G, Q^T D and Q^T V in the eigenbasis of cache;
+    q and lam are the eigenvectors and eigenvalues of the scaled Gram;
+    qtg, qtd and qtv are Q^T G, Q^T D and Q^T V in that eigenbasis, and
     spare and qtw are work buffers of the same shape, which the step
     overwrites. d_change (||D - D_prev||) and wd_gap (||W - D||) are the
     last step's, None before the first.
@@ -168,23 +170,23 @@ class AdmmState:
     rho: float
     iteration: int
     prev_support: np.ndarray
-    cache: EigenCache
+    q: np.ndarray
+    lam: np.ndarray
     d_change: float | None = None
     wd_gap: float | None = None
 
 
-def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> AdmmState:
-    """Start from the dense weights: D = W = w_hat, V = 0."""
-    if not rho0 > 0:
-        raise InvalidInputError("rho0 must be positive")
+def initial_state(scaled: ScaledProblem, rho0: float) -> AdmmState:
+    """Factor the scaled Gram; start from the dense weights: D = W = w_hat, V = 0."""
+    lam, q = eigendecompose(scaled.gram)
     w_hat = scaled.w_hat
-    qtd = cache.q.T @ w_hat
+    qtd = q.T @ w_hat
     return AdmmState(
         w=w_hat.copy(),
         d=w_hat.copy(),
         v=np.zeros_like(w_hat),
         # Q^T H W_hat = diag(lambda) Q^T W_hat, so G itself is never formed.
-        qtg=cache.eigenvalues[:, None] * qtd,
+        qtg=lam[:, None] * qtd,
         qtd=qtd,
         qtv=np.zeros_like(w_hat),
         spare=np.empty_like(w_hat),
@@ -192,7 +194,8 @@ def initial_state(scaled: ScaledProblem, cache: EigenCache, rho0: float) -> Admm
         rho=rho0,
         iteration=0,
         prev_support=w_hat != 0.0,
-        cache=cache,
+        q=q,
+        lam=lam,
     )
 
 
@@ -203,12 +206,12 @@ def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
     operand order match the allocating expressions, such as
     V + rho (W - D), so the iterates are the same bit for bit.
     """
-    rho, q = state.rho, state.cache.q
+    rho, q = state.rho, state.q
     w, d, v, spare, qtw = state.w, state.d, state.v, state.spare, state.qtw
     # (H + rho I) W = G - V + rho D is diagonal in the eigenbasis.
     np.subtract(state.qtg, state.qtv, out=qtw)
     qtw += np.multiply(state.qtd, rho, out=spare)
-    qtw /= (state.cache.eigenvalues + rho)[:, None]
+    qtw /= (state.lam + rho)[:, None]
     np.matmul(q, qtw, out=w)
     # Q^T D is stale from here until it is recomputed, so it holds
     # W + V / rho, and the new D goes into spare.
@@ -239,8 +242,6 @@ def rho_update(rho: float, s_t: int, k: int) -> float | None:
     [2]. Returns None when the support did not move at all, which signals
     the caller to stop iterating.
     """
-    if s_t < 0:
-        raise InvalidInputError("support change cannot be negative")
     if s_t == 0:
         return None
     if s_t >= CHURN_THRESHOLDS[0] * k:
@@ -260,7 +261,7 @@ def _norms(state: AdmmState) -> tuple[float, float, float, float]:
     Q is orthogonal, so ||G - H D|| = ||Q^T G - diag(lambda) Q^T D||, formed
     in the qtw buffer (free between steps), and ||H V|| = ||diag(lambda) Q^T V||.
     """
-    lam = state.cache.eigenvalues
+    lam = state.lam
     gap = np.multiply(lam[:, None], state.qtd, out=state.qtw)
     np.subtract(state.qtg, gap, out=gap)
     # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
@@ -331,8 +332,8 @@ def admm_solve(
     k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
     # Only the state holds Q, so deleting the state frees it.
-    state = initial_state(scaled, eigendecompose(scaled.gram), cfg.rho0)
-    spectral_norm = state.cache.spectral_norm
+    state = initial_state(scaled, cfg.rho0)
+    spectral_norm = float(state.lam[-1])
     trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=_frob(state.qtg))
     pre = _norms(state)
     stabilized = False

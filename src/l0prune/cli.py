@@ -9,6 +9,7 @@ success, 2 for invalid input of any kind, 3 for degenerate instances.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -29,7 +30,7 @@ from .diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
 from .errors import DegenerateInstanceError, InvalidInputError, PruneError
 from .linalg import gram_from_activations, relative_error
 from .matrixio import read_matrix, write_matrix
-from .projections import NM, SparsityBudget, Unstructured, support_of
+from .projections import NM, SparsityBudget, Unstructured, budget_size, support_of
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -58,19 +59,9 @@ def _budget_for(args, shape) -> SparsityBudget:
 
 
 def _budget_block(budget: SparsityBudget, shape) -> dict:
-    size = shape[0] * shape[1]
-    if isinstance(budget, Unstructured):
-        return {
-            "kind": "unstructured",
-            "k": budget.k,
-            "sparsity": 1.0 - budget.k / size,
-        }
-    return {
-        "kind": "nm",
-        "n": budget.n,
-        "m": budget.m,
-        "sparsity": 1.0 - budget.n / budget.m,
-    }
+    kind = "unstructured" if isinstance(budget, Unstructured) else "nm"
+    sparsity = 1.0 - budget_size(budget, shape) / (shape[0] * shape[1])
+    return {"kind": kind, **dataclasses.asdict(budget), "sparsity": sparsity}
 
 
 def _report_for(

@@ -8,8 +8,6 @@ once the Gram is accumulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError
@@ -57,32 +55,13 @@ def check_instance(h, w_hat) -> tuple[np.ndarray, np.ndarray]:
     return h, w_hat
 
 
-@dataclass(frozen=True, eq=False)
-class EigenCache:
-    """Eigendecomposition H = Q diag(eigenvalues) Q^T of one solve's Gram.
-
-    A solve factors its Gram once and reuses it under every penalty rho;
-    each solve factors its own, even when layers share a Gram.
-
-    Eigenvalues are ascending and clamped to be nonnegative. Negative
-    values beyond the rounding tolerance are rejected upstream.
-    """
-
-    q: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def spectral_norm(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def eigendecompose(h: np.ndarray) -> EigenCache:
-    """Factor a validated symmetric Gram matrix once for every penalty rho.
+def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (lambda, Q), as np.linalg.eigh returns it: H = Q diag(lambda) Q^T.
 
     The caller has already run check_instance; this only checks what the
-    spectrum reveals. Eigenvalues in [-EIG_NEG_RTOL * max_eig, 0) are
-    rounding noise and get clamped to zero; anything more negative means
-    the input is not PSD.
+    spectrum reveals. Eigenvalues come ascending; those in
+    [-EIG_NEG_RTOL * max_eig, 0) are rounding noise and get clamped to
+    zero, and anything more negative means the input is not PSD.
     """
     eigenvalues, q = np.linalg.eigh(h)
     max_eig = max(float(eigenvalues[-1]), 0.0)
@@ -91,17 +70,22 @@ def eigendecompose(h: np.ndarray) -> EigenCache:
             f"gram is not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e} "
             f"vs max {max_eig:.3e}"
         )
-    return EigenCache(q=q, eigenvalues=np.clip(eigenvalues, 0.0, None))
+    return np.clip(eigenvalues, 0.0, None), q
 
 
 def layer_objective(h, w_hat, w) -> float:
     """Reconstruction gap tr((W_hat - W)^T H (W_hat - W)), clamped at zero."""
+    return _checked_objective(h, w_hat, w)[0]
+
+
+def _checked_objective(h, w_hat, w) -> tuple[float, np.ndarray, np.ndarray]:
+    """layer_objective, with the checked Gram and dense weights it used."""
     h, w_hat = check_instance(h, w_hat)
     w = as_matrix(w, "weights")
     if w.shape != w_hat.shape:
         raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
     # The quadratic form can go mildly negative from rounding on PSD input.
-    return max(gap_form(h, w_hat, w)[1], 0.0)
+    return max(gap_form(h, w_hat, w)[1], 0.0), h, w_hat
 
 
 def gap_form(h, w_hat, w) -> tuple[np.ndarray, float]:
@@ -118,14 +102,12 @@ def relative_error(h, w_hat, w) -> float:
     denominator is the energy of the dense layer output; a zero value
     means the instance carries no signal to preserve.
     """
-    # The objective checks every array before the denominator uses them.
-    return layer_objective(h, w_hat, w) / output_energy(h, w_hat)
+    objective, h, w_hat = _checked_objective(h, w_hat, w)
+    return objective / output_energy(h, w_hat)
 
 
-def output_energy(h, w_hat) -> float:
+def output_energy(h: np.ndarray, w_hat: np.ndarray) -> float:
     """tr(W_hat^T H W_hat) for arrays the caller has already checked."""
-    h = np.asarray(h, dtype=np.float64)
-    w_hat = np.asarray(w_hat, dtype=np.float64)
     energy = float(np.vdot(w_hat, h @ w_hat))
     if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")

@@ -89,8 +89,6 @@ def check_support(support, shape: tuple[int, int]) -> np.ndarray:
 
 def support_change(a: np.ndarray, b: np.ndarray) -> int:
     """Size of the symmetric difference between two boolean supports."""
-    if a.shape != b.shape:
-        raise InvalidInputError(f"support shapes differ: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a ^ b))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from l0prune import (
+    NM,
     Unstructured,
     admm_solve,
     brute_force_support,
@@ -16,7 +17,7 @@ from l0prune import (
     write_matrix,
 )
 from l0prune import linalg
-from l0prune.cli import main
+from l0prune.cli import _budget_block, main
 
 from conftest import correlated_activations, count_calls
 
@@ -360,6 +361,24 @@ def test_degenerate_instance_exits_3(workspace, tmp_path, capsys):
         "--gram", zeros,
     )
     assert code == 3
+
+
+def test_negative_definite_gram_exits_2(workspace, tmp_path, capsys):
+    # A Gram that is not PSD is invalid input, not a degenerate instance.
+    paths, _, _ = workspace
+    negative = tmp_path / "negative.amtx"
+    write_matrix(negative, -np.eye(10))
+    code = run("prune", "--weights", paths["weights"], "--gram", negative, "--k", 5)
+    assert code == 2
+    assert "not positive semidefinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,m,n_in", [(1, 3, 9), (3, 7, 21)])
+def test_nm_budget_block_sparsity_is_n_over_m(n, m, n_in):
+    # Taken from the kept count, it must still be the float 1 - n / m,
+    # also where n / m is not a binary fraction.
+    block = _budget_block(NM(n, m), (n_in, 4))
+    assert list(block.items()) == [("kind", "nm"), ("n", n), ("m", m), ("sparsity", 1 - n / m)]
 
 
 def test_oracle_on_a_singular_support_exits_3_naming_the_column(tmp_path, capsys):

@@ -86,30 +86,30 @@ def test_validate_gram_accepts_tiny_asymmetry():
 
 
 def test_eigendecompose_diagonal():
-    cache = eigendecompose(np.diag([4.0, 1.0]))
-    np.testing.assert_allclose(cache.eigenvalues, [1.0, 4.0])
-    np.testing.assert_allclose(np.abs(cache.q), np.eye(2)[:, ::-1], atol=1e-14)
+    lam, q = eigendecompose(np.diag([4.0, 1.0]))
+    np.testing.assert_allclose(lam, [1.0, 4.0])
+    np.testing.assert_allclose(np.abs(q), np.eye(2)[:, ::-1], atol=1e-14)
 
 
 def test_eigendecompose_identity():
-    cache = eigendecompose(np.eye(5))
-    np.testing.assert_allclose(cache.eigenvalues, np.ones(5))
-    assert cache.spectral_norm == pytest.approx(1.0)
+    lam, _ = eigendecompose(np.eye(5))
+    np.testing.assert_allclose(lam, np.ones(5))
+    assert lam[-1] == pytest.approx(1.0)
 
 
 def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(3)
     h = random_psd(rng, 6)
-    cache = eigendecompose(h)
-    rebuilt = (cache.q * cache.eigenvalues) @ cache.q.T
+    lam, q = eigendecompose(h)
+    rebuilt = (q * lam) @ q.T
     assert np.linalg.norm(rebuilt - h) <= 1e-6 * np.linalg.norm(h)
 
 
 def test_eigendecompose_clamps_rounding_noise():
     rng = np.random.default_rng(4)
     h = random_psd(rng, 5, rank=3)  # exactly rank deficient
-    cache = eigendecompose(h)
-    assert cache.eigenvalues.min() >= 0.0
+    lam, _ = eigendecompose(h)
+    assert lam.min() >= 0.0
 
 
 def test_eigendecompose_rejects_indefinite():
@@ -127,9 +127,8 @@ def test_eigendecompose_rejects_indefinite():
 
 def step_ridge_solve(h, rho, b):
     zeros = np.zeros_like(b)
-    scaled = ScaledProblem(np.ones(len(h)), h, zeros, np.zeros(len(h), dtype=bool))
-    cache = eigendecompose(h)
-    state = replace(initial_state(scaled, cache, rho), v=-b, qtv=cache.q.T @ -b)
+    state = initial_state(ScaledProblem(np.ones(len(h)), h, zeros), rho)
+    state = replace(state, v=-b, qtv=state.q.T @ -b)
     return admm_step(state, Unstructured(b.size)).w
 
 
@@ -141,11 +140,6 @@ def test_ridge_solve_diagonal_arithmetic():
 def test_ridge_solve_zero_gram_divides_by_rho():
     b = np.arange(6.0).reshape(3, 2)
     np.testing.assert_allclose(step_ridge_solve(np.zeros((3, 3)), 2.0, b), b / 2.0, atol=1e-14)
-
-
-def test_ridge_solve_rejects_nonpositive_rho():
-    with pytest.raises(InvalidInputError):
-        step_ridge_solve(np.eye(2), 0.0, np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("rho", np.logspace(-4, 8, 7))
@@ -231,3 +225,16 @@ def test_relative_error_column_permutation_invariant(seed):
 def test_relative_error_degenerate_denominator():
     with pytest.raises(DegenerateInstanceError):
         relative_error(np.zeros((2, 2)), np.ones((2, 1)), np.ones((2, 1)))
+
+
+def test_relative_error_uses_the_checked_arrays():
+    # The denominator takes the float64 arrays the objective's check made,
+    # not the caller's float32 arrays or lists.
+    rng = np.random.default_rng(11)
+    h = random_psd(rng, 4).astype(np.float32)
+    w_hat = rng.standard_normal((4, 3)).astype(np.float32)
+    w = w_hat.astype(np.float64)
+    w[1] = 0.0
+    expected = relative_error(h.astype(np.float64), w_hat.astype(np.float64), w)
+    assert relative_error(h, w_hat, w) == expected
+    assert relative_error(h.tolist(), w_hat.tolist(), w.tolist()) == expected

@@ -280,8 +280,3 @@ def test_support_change_is_xor_count(seed):
     b = rng.integers(0, 2, size=(4, 5)).astype(float)
     expected = int(((a != 0) ^ (b != 0)).sum())
     assert support_change(support_of(a), support_of(b)) == expected
-
-
-def test_support_change_shape_mismatch():
-    with pytest.raises(InvalidInputError):
-        support_change(support_of(np.ones((2, 2))), support_of(np.ones((2, 3))))
