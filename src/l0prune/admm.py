@@ -15,26 +15,24 @@ support stops changing the loop ends, and the polish below first solves
 for the optimal weights on the frozen support by conjugate gradient.
 
 H = Q diag(lambda) Q^T is factored once per solve into the state's q and
-lam, and the iterates live in that eigenbasis too: the state keeps Q^T G,
-Q^T D and Q^T V next to W, D and V. The ridge solve is then a division by
-lambda + rho, and an iteration costs two dense products, W = Q (Q^T W)
-and Q^T D; Q^T V follows V elementwise. Because Q is orthogonal, the
-trace norms ||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and ||H V|| =
-||diag(lambda) Q^T V|| need no product at all.
+lam, and the loop keeps W and V only in that eigenbasis, as Q^T W and
+Q^T V, next to Q^T G, Q^T D and D. The ridge solve is then a division by
+lambda + rho, and an iteration costs two dense products: W + V / rho =
+Q (Q^T W + Q^T V / rho), which is projected, and Q^T D of the new D.
+Because Q is orthogonal, ||D - D_prev||, ||W - D||, ||V||, ||G - H D|| =
+||Q^T G - diag(lambda) Q^T D|| and ||H V|| = ||diag(lambda) Q^T V|| are
+all taken in the eigenbasis, with no product.
 
-The step runs in place, in eight n x m buffers allocated once per solve:
-W, D, V, the three eigenbasis copies, Q^T W, and a spare D. W + V / rho
-goes into the Q^T D buffer, stale until Q^T D is recomputed; the new D is
-projected into the spare, D - D_prev overwrites D_prev, whose buffer
-then holds W - D for the dual update, and D and the spare swap. So
-||D - D_prev|| and ||W - D|| come from differences the step forms anyway,
-and ||D||, ||V||, ||G - H D|| and ||H V|| are taken once after each step
-and carried into the next record as its pre-step norms. Through the loop
-a solve holds these buffers, the scaled W_hat and Gram, Q, and during a
-top-k projection the copy np.partition reorders. Only D and rho outlive
-the loop: the state goes, and Q with it, before the polish, which reads
-only the Gram's spectral norm, lambda_max, and refines in D's buffer, so
-the loop, not the polish, sets the solve's memory peak.
+The step runs in place, in six n x m buffers allocated once per solve:
+D, Q^T G, Q^T W, Q^T D, Q^T V and a spare. It forms ||D - D_prev|| and
+||W - D|| from differences it needs anyway, and ||D||, ||V||,
+||G - H D|| and ||H V|| are taken once after each step and carried into
+the next record as its pre-step norms. Through the loop a solve holds
+these buffers, the scaled W_hat and Gram, Q, and during a top-k
+projection the copy np.partition reorders. Only D and rho outlive the
+loop: the state goes, and Q with it, before the polish, which reads only
+the Gram's spectral norm, lambda_max, and refines in D's buffer, so the
+loop, not the polish, sets the solve's memory peak.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -152,21 +150,19 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
 class AdmmState:
     """One solve's iterates and work buffers, advanced in place by admm_step.
 
-    q and lam are the eigenvectors and eigenvalues of the scaled Gram;
-    qtg, qtd and qtv are Q^T G, Q^T D and Q^T V in that eigenbasis, and
-    spare and qtw are work buffers of the same shape, which the step
-    overwrites. d_change (||D - D_prev||) and wd_gap (||W - D||) are the
-    last step's, None before the first.
+    q and lam are the eigenvectors and eigenvalues of the scaled Gram. D is
+    kept as d; W and V only in that eigenbasis, as qtw and qtv, next to
+    qtg and qtd (Q^T G and Q^T D). spare is a work buffer of the same
+    shape, which the step overwrites. d_change (||D - D_prev||) and wd_gap
+    (||W - D||) are the last step's, None before the first.
     """
 
-    w: np.ndarray
     d: np.ndarray
-    v: np.ndarray
     qtg: np.ndarray
+    qtw: np.ndarray
     qtd: np.ndarray
     qtv: np.ndarray
     spare: np.ndarray
-    qtw: np.ndarray
     rho: float
     iteration: int
     prev_support: np.ndarray
@@ -177,20 +173,18 @@ class AdmmState:
 
 
 def initial_state(scaled: ScaledProblem, rho0: float) -> AdmmState:
-    """Factor the scaled Gram; start from the dense weights: D = W = w_hat, V = 0."""
+    """Factor the scaled Gram; start from the dense weights: D = w_hat, V = 0."""
     lam, q = eigendecompose(scaled.gram)
     w_hat = scaled.w_hat
     qtd = q.T @ w_hat
     return AdmmState(
-        w=w_hat.copy(),
         d=w_hat.copy(),
-        v=np.zeros_like(w_hat),
         # Q^T H W_hat = diag(lambda) Q^T W_hat, so G itself is never formed.
         qtg=lam[:, None] * qtd,
+        qtw=np.empty_like(w_hat),
         qtd=qtd,
         qtv=np.zeros_like(w_hat),
         spare=np.empty_like(w_hat),
-        qtw=np.empty_like(w_hat),
         rho=rho0,
         iteration=0,
         prev_support=w_hat != 0.0,
@@ -200,36 +194,27 @@ def initial_state(scaled: ScaledProblem, rho0: float) -> AdmmState:
 
 
 def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
-    """Advance W, D, V one iteration in place, under one rho; returns state.
-
-    Results go into the state's buffers, but every operation and its
-    operand order match the allocating expressions, such as
-    V + rho (W - D), so the iterates are the same bit for bit.
-    """
+    """Advance W, D, V one iteration in place, under one rho; returns state."""
     rho, q = state.rho, state.q
-    w, d, v, spare, qtw = state.w, state.d, state.v, state.spare, state.qtw
+    d, qtd, qtv, spare, qtw = state.d, state.qtd, state.qtv, state.spare, state.qtw
     # (H + rho I) W = G - V + rho D is diagonal in the eigenbasis.
-    np.subtract(state.qtg, state.qtv, out=qtw)
-    qtw += np.multiply(state.qtd, rho, out=spare)
+    np.subtract(state.qtg, qtv, out=qtw)
+    qtw += np.multiply(qtd, rho, out=spare)
     qtw /= (state.lam + rho)[:, None]
-    np.matmul(q, qtw, out=w)
-    # Q^T D is stale from here until it is recomputed, so it holds
-    # W + V / rho, and the new D goes into spare.
-    a = np.divide(v, rho, out=state.qtd)
-    a += w
-    d_next = project(a, budget, out=spare)
-    # D - D_prev overwrites D_prev, then W - D reuses its buffer for V.
-    state.d_change = _frob(np.subtract(d_next, d, out=d))
-    gap = np.subtract(w, d_next, out=d)
+    # W + V / rho goes into D's buffer, free while Q^T D still holds D; the
+    # new D goes into spare, and its Q^T D into D's buffer.
+    a = np.divide(qtv, rho, out=spare)
+    a += qtw
+    d_next = project(np.matmul(q, a, out=d), budget, out=spare)
+    qtd_next = np.matmul(q.T, d_next, out=d)
+    # Q is orthogonal, so both norms can be taken in the eigenbasis, in
+    # the old Q^T D's buffer: D - D_prev, then W - D for the dual update.
+    state.d_change = _frob(np.subtract(qtd_next, qtd, out=qtd))
+    gap = np.subtract(qtw, qtd_next, out=qtd)
     state.wd_gap = _frob(gap)
     gap *= rho
-    v += gap
-    np.matmul(q.T, d_next, out=state.qtd)
-    # Q^T V follows V + rho (W - D) without a product, since Q^T W is qtw.
-    qtw -= state.qtd
-    qtw *= rho
-    state.qtv += qtw
-    state.d, state.spare = d_next, d
+    qtv += gap
+    state.d, state.qtd, state.spare = d_next, qtd_next, gap
     state.iteration += 1
     return state
 
@@ -259,14 +244,15 @@ def _norms(state: AdmmState) -> tuple[float, float, float, float]:
     """||D||, ||V||, ||G - H D|| and ||H V|| of the current iterates.
 
     Q is orthogonal, so ||G - H D|| = ||Q^T G - diag(lambda) Q^T D||, formed
-    in the qtw buffer (free between steps), and ||H V|| = ||diag(lambda) Q^T V||.
+    in the spare buffer (free between steps), ||V|| = ||Q^T V|| and
+    ||H V|| = ||diag(lambda) Q^T V||.
     """
     lam = state.lam
-    gap = np.multiply(lam[:, None], state.qtd, out=state.qtw)
+    gap = np.multiply(lam[:, None], state.qtd, out=state.spare)
     np.subtract(state.qtg, gap, out=gap)
-    # ||diag(lambda) Q^T V||^2 from row sums, without an n x m temporary.
-    hv_sq = lam**2 @ np.einsum("ij,ij->i", state.qtv, state.qtv)
-    return _frob(state.d), _frob(state.v), _frob(gap), math.sqrt(hv_sq)
+    # Both V norms from one set of row sums, without an n x m temporary.
+    rows = np.einsum("ij,ij->i", state.qtv, state.qtv)
+    return _frob(state.d), math.sqrt(rows.sum()), _frob(gap), math.sqrt(lam**2 @ rows)
 
 
 def polish(

@@ -134,6 +134,7 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
 
 def _keep_best(scores, w_hat, h, budget: SparsityBudget, method: str) -> PruneSolution:
     """Keep the dense weights whose scores rank highest under the budget."""
+    check_budget(budget, w_hat.shape)
     w = np.where(budget_mask(scores, budget), w_hat, 0.0)
     return build_solution(w, h, w_hat, method)
 

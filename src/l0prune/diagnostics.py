@@ -63,6 +63,8 @@ class Violation:
 def _require_records(trace: IterTrace) -> None:
     if not trace.records:
         raise InvalidInputError("trace has no records")
+    if not all(0.0 < rec.rho < math.inf for rec in trace.records):
+        raise InvalidInputError("trace has a penalty that is not positive and finite")
 
 
 def _violated(lhs: float, rhs: float, guard: float) -> bool:

@@ -141,8 +141,7 @@ def nm_mask(scores: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def budget_mask(scores: np.ndarray, budget: SparsityBudget) -> np.ndarray:
-    """Mask of the highest scores the budget keeps, after checking the budget."""
-    check_budget(budget, scores.shape)
+    """Mask of the highest scores the budget keeps; it must fit scores' shape."""
     if isinstance(budget, Unstructured):
         return topk_mask(scores, budget.k)
     return nm_mask(scores, budget.n, budget.m)
@@ -153,8 +152,8 @@ def project(a, budget: SparsityBudget, out: np.ndarray | None = None) -> np.ndar
 
     Keeps the largest magnitudes the budget allows (globally, or per group
     of m consecutive input weights) at their exact values; zeroes the rest.
-    a must be a finite 2-D float array: the solver calls this every
-    iteration on arrays it built itself, so it does not re-validate them.
+    a must be a finite 2-D float array the budget fits: the solver calls
+    this every iteration on arrays it built and a budget it checked once.
 
     The result goes to out when given (shaped like a, not overlapping it;
     it holds the scores first), else to a new array. It is a times its

@@ -150,7 +150,7 @@ def test_first_step_fixes_dense_weights():
     scaled = preprocess(h, w_hat)
     state = initial_state(scaled, 0.1)
     stepped = admm_step(state, Unstructured(18))
-    np.testing.assert_allclose(stepped.w, scaled.w_hat, atol=1e-12)
+    np.testing.assert_allclose(stepped.q @ stepped.qtw, scaled.w_hat, atol=1e-12)
 
 
 def test_step_with_zero_gram_copies_sparse_iterate():
@@ -159,7 +159,7 @@ def test_step_with_zero_gram_copies_sparse_iterate():
     state = initial_state(ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat), 2.0)
     d = state.d.copy()  # the step overwrites the state in place
     stepped = admm_step(state, Unstructured(6))
-    np.testing.assert_allclose(stepped.w, d, atol=1e-14)
+    np.testing.assert_allclose(stepped.q @ stepped.qtw, d, atol=1e-14)
 
 
 def test_step_on_diagonal_gram_by_hand():
@@ -169,13 +169,13 @@ def test_step_on_diagonal_gram_by_hand():
     scaled = ScaledProblem(np.ones(2), np.diag([1.0, 4.0]), np.ones((2, 1)))
     state = initial_state(scaled, 1.0)
     first = admm_step(state, Unstructured(1))
-    np.testing.assert_allclose(first.w, [[1.0], [1.0]], atol=1e-14)
+    np.testing.assert_allclose(first.q @ first.qtw, [[1.0], [1.0]], atol=1e-14)
     np.testing.assert_array_equal(first.d, [[1.0], [0.0]])
-    np.testing.assert_allclose(first.v, [[0.0], [1.0]], atol=1e-14)
+    np.testing.assert_allclose(first.q @ first.qtv, [[0.0], [1.0]], atol=1e-14)
     second = admm_step(first, Unstructured(1))
-    np.testing.assert_allclose(second.w, [[1.0], [0.6]], atol=1e-14)
+    np.testing.assert_allclose(second.q @ second.qtw, [[1.0], [0.6]], atol=1e-14)
     np.testing.assert_allclose(second.d, [[0.0], [1.6]], atol=1e-14)
-    np.testing.assert_allclose(second.v, [[1.0], [0.0]], atol=1e-14)
+    np.testing.assert_allclose(second.q @ second.qtv, [[1.0], [0.0]], atol=1e-14)
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.1, 1e4])
@@ -188,21 +188,21 @@ def test_step_matches_explicit_inverse(rho):
     for _ in range(3):
         state = admm_step(state, budget)
 
-    hp, wp = scaled.gram, state
+    hp, v_prev = scaled.gram, state.q @ state.qtv
     g = scaled.gram @ scaled.w_hat
     inv = np.linalg.inv(hp + rho * np.eye(5))
-    w = inv @ (g - wp.v + rho * wp.d)
+    w = inv @ (g - v_prev + rho * state.d)
     d = np.where(
-        np.abs(w + wp.v / rho)
-        >= np.partition(np.abs(w + wp.v / rho).ravel(), -4)[-4],
-        w + wp.v / rho,
+        np.abs(w + v_prev / rho)
+        >= np.partition(np.abs(w + v_prev / rho).ravel(), -4)[-4],
+        w + v_prev / rho,
         0.0,
     )
-    v = wp.v + rho * (w - d)
+    v = v_prev + rho * (w - d)
     after = admm_step(state, budget)
-    np.testing.assert_allclose(after.w, w, atol=1e-8)
+    np.testing.assert_allclose(after.q @ after.qtw, w, atol=1e-8)
     np.testing.assert_allclose(after.d, d, atol=1e-8)
-    np.testing.assert_allclose(after.v, v, atol=1e-8)
+    np.testing.assert_allclose(after.q @ after.qtv, v, atol=1e-8)
 
 
 def _assert_rel_close(actual, expected, rtol=1e-9):
@@ -214,7 +214,8 @@ def _assert_rel_close(actual, expected, rtol=1e-9):
 def test_step_matches_original_basis_loop(case, budget):
     # The loop written out in the original basis, with explicit solves and
     # Gram products, under the penalties admm_solve recorded; every step
-    # must agree, and the eigenbasis copies must not drift from Q^T D, Q^T V.
+    # must agree, W and V read back from the eigenbasis, and Q^T D must
+    # not drift from D.
     rng = np.random.default_rng(14)
     h, w_hat = random_problem(rng, 16, 12)
     if case == "dead_channel":
@@ -254,17 +255,17 @@ def test_step_matches_original_basis_loop(case, budget):
 
         state = admm_step(replace(state, rho=rho), budget)
         assert np.array_equal(state.d != 0.0, d != 0.0)
-        _assert_rel_close(state.w, w)
+        _assert_rel_close(state.q @ state.qtw, w)
         _assert_rel_close(state.d, d)
-        _assert_rel_close(state.v, v)
+        _assert_rel_close(state.q @ state.qtv, v)
         _assert_rel_close(state.qtd, state.q.T @ state.d)
-        _assert_rel_close(state.qtv, state.q.T @ state.v)
 
 
 def test_validation_runs_once_per_solve(monkeypatch):
     counts = Counter()
     for name in ("validate_gram", "as_matrix", "eigendecompose"):
         count_calls(monkeypatch, linalg, name, counts)
+    count_calls(monkeypatch, projections, "check_budget", counts)
 
     rng = np.random.default_rng(15)
     h, w_hat = random_problem(rng, 12, 8)
@@ -278,8 +279,9 @@ def test_validation_runs_once_per_solve(monkeypatch):
     # W_hat and the Gram (inside validate_gram), once each.
     assert short["validate_gram"] == 1
     assert short["as_matrix"] == 2
-    # One factorization, whatever the cap.
+    # One factorization and one budget check, whatever the cap.
     assert short["eigendecompose"] == 1
+    assert short["check_budget"] == 1
     assert short == long
 
 
@@ -307,10 +309,10 @@ def test_projection_runs_once_per_iteration_and_polish_round(monkeypatch):
 @pytest.mark.parametrize(
     "budget", [budget_from_sparsity(0.7, 64, 1024), NM(2, 4)], ids=["topk", "nm24"]
 )
-def test_loop_memory_is_ten_weight_arrays(budget):
-    # The loop holds scaled W_hat and eight n x m buffers (W, D, the spare
-    # D, V, Q^T G, Q^T D, Q^T V, Q^T W), and the top-k projection adds the
-    # copy np.partition reorders: ten n x m float arrays. The half array
+def test_loop_memory_is_eight_weight_arrays(budget):
+    # The loop holds scaled W_hat and six n x m buffers (D, Q^T G, Q^T W,
+    # Q^T D, Q^T V and a spare), and the top-k projection adds the copy
+    # np.partition reorders: eight n x m float arrays. The half array
     # on top covers boolean masks (an eighth each) and the trace; the two
     # n x n arrays are the scaled Gram and Q. The polish takes no round
     # here, so the loop sets the solve's peak.
@@ -325,7 +327,7 @@ def test_loop_memory_is_ten_weight_arrays(budget):
     finally:
         tracemalloc.stop()
     assert sol.polish_rounds == 0
-    assert peak <= (10.5 * n_in * n_out + 2 * n_in * n_in) * 8
+    assert peak <= (8.5 * n_in * n_out + 2 * n_in * n_in) * 8
 
 
 @pytest.mark.parametrize(

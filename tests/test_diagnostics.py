@@ -146,3 +146,16 @@ def test_theorem_overflow_is_vacuously_satisfied():
 def test_theorem_empty_trace_rejected():
     with pytest.raises(InvalidInputError, match="trace has no records"):
         theorem1_residual_bound(IterTrace())
+
+
+# --- malformed traces ---
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("check", [check_lemma1, check_lemma2, theorem1_residual_bound])
+def test_nonpositive_or_nonfinite_rho_rejected(check, rho):
+    # Every checker divides by rho, and check_lemma2 takes log1p(3h / rho):
+    # such a penalty gives a bare arithmetic error or a meaningless bound.
+    records = [record(), record(rho=rho), record()]
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        check(IterTrace(records=records, h_spectral=1.0, g_norm=1.0))

@@ -128,8 +128,9 @@ def test_eigendecompose_rejects_indefinite():
 def step_ridge_solve(h, rho, b):
     zeros = np.zeros_like(b)
     state = initial_state(ScaledProblem(np.ones(len(h)), h, zeros), rho)
-    state = replace(state, v=-b, qtv=state.q.T @ -b)
-    return admm_step(state, Unstructured(b.size)).w
+    state = replace(state, qtv=state.q.T @ -b)
+    state = admm_step(state, Unstructured(b.size))
+    return state.q @ state.qtw
 
 
 def test_ridge_solve_diagonal_arithmetic():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from l0prune import NM, InvalidInputError, Unstructured, admm_solve, support_of
+from l0prune import (
+    NM, InvalidInputError, Unstructured, admm_solve, magnitude_prune, support_of,
+)
 from l0prune.projections import (
     budget_mask,
     budget_size,
@@ -81,7 +83,7 @@ def test_topk_tie_goes_to_lower_index():
 
 def test_topk_out_of_range():
     with pytest.raises(InvalidInputError):
-        project(np.ones((2, 2)), Unstructured(5))
+        magnitude_prune(np.ones((2, 2)), Unstructured(5))
 
 
 @given(matrix_and_k())
@@ -141,7 +143,7 @@ def test_nm_identity_when_n_equals_m():
 
 def test_nm_rejects_indivisible_rows():
     with pytest.raises(InvalidInputError):
-        project(np.ones((6, 2)), NM(2, 4))
+        magnitude_prune(np.ones((6, 2)), NM(2, 4))
 
 
 def test_nm_per_group_top_n_oracle():
