@@ -29,7 +29,7 @@ from .baselines import (
 from .diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
 from .errors import DegenerateInstanceError, InvalidInputError, PruneError
 from .linalg import gram_from_activations, relative_error
-from .matrixio import read_matrix, write_matrix
+from .matrixio import read_matrix, read_row_blocks, write_matrix
 from .projections import NM, SparsityBudget, Unstructured, budget_size, support_of
 
 EXIT_OK = 0
@@ -45,9 +45,10 @@ def _parse_nm(text: str) -> NM:
 
 
 def _load_gram(args) -> np.ndarray:
+    """The --gram file, or the Gram streamed from --activations a block at a time."""
     if getattr(args, "gram", None):
         return read_matrix(args.gram)
-    return gram_from_activations(read_matrix(args.activations))
+    return gram_from_activations(read_row_blocks(args.activations))
 
 
 def _budget_for(args, shape) -> SparsityBudget:
@@ -159,8 +160,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    x = read_matrix(args.activations)
-    write_matrix(args.out, gram_from_activations(x))
+    write_matrix(args.out, _load_gram(args))
     return EXIT_OK
 
 

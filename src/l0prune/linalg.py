@@ -8,6 +8,8 @@ once the Gram is accumulated.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError
@@ -29,10 +31,34 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def gram_from_activations(x) -> np.ndarray:
-    """H = X^T X in one product, symmetrized to kill rounding skew."""
-    x = as_matrix(x, "activations")
-    h = x.T @ x
-    return (h + h.T) / 2.0
+    """H = X^T X, symmetrized to kill rounding skew.
+
+    x is the activation matrix, or an iterator of its row blocks, such as
+    `matrixio.read_row_blocks` yields. Block products are summed in order
+    into one n x n buffer through one spare n x n buffer, so the Gram, the
+    spare and the current block are all that is held, and a block may be
+    overwritten once the next is drawn. One block, like a whole matrix,
+    gives the bits of the single product X^T X.
+    """
+    blocks = x if isinstance(x, Iterator) else iter((x,))
+    h = spare = None
+    for block in blocks:
+        block = as_matrix(block, "activations")
+        if h is None:
+            h = block.T @ block
+            spare = np.empty_like(h)
+        elif block.shape[1] != h.shape[0]:
+            raise InvalidInputError(
+                f"activation block has {block.shape[1]} columns, expected {h.shape[0]}"
+            )
+        else:
+            np.matmul(block.T, block, out=spare)
+            h += spare
+    if h is None:
+        raise InvalidInputError("activations have no row blocks")
+    np.add(h, h.T, out=spare)
+    spare /= 2.0
+    return spare
 
 
 def validate_gram(h) -> np.ndarray:
@@ -40,8 +66,11 @@ def validate_gram(h) -> np.ndarray:
     h = as_matrix(h, "gram")
     if h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"gram must be square, got {h.shape}")
-    scale = np.abs(h).max()
-    if not np.allclose(h, h.T, rtol=0.0, atol=SYMMETRY_RTOL * max(scale, 1e-300)):
+    # h is finite, so max |h| needs no temporary and |h - h^T| needs one.
+    atol = SYMMETRY_RTOL * max(h.max(), -h.min(), 1e-300)
+    skew = np.subtract(h, h.T)
+    np.abs(skew, out=skew)
+    if skew.max() > atol:
         raise InvalidInputError("gram is not symmetric within tolerance")
     return h
 

@@ -13,12 +13,22 @@ Layout, all multi-byte fields little-endian:
 
 float64 payloads round-trip bit-identically; float32 files are widened
 to float64 on read. Payloads with NaN or infinite entries are rejected.
+
+Both readers check the header and the file size before any payload is
+read, then read the payload in blocks of rows, BLOCK_BYTES of float64
+each (at least one row). A block is read with `readinto` into a buffer
+of the stored dtype that is reused from block to block, checked for
+finiteness in that dtype, and only then widened. `read_matrix` reads a
+float64 payload straight into its result. `read_row_blocks` yields the
+widened blocks one at a time, so a consumer such as
+`linalg.gram_from_activations` never holds the whole matrix in float64.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +39,7 @@ MAGIC = b"AMTX"
 VERSION = 1
 HEADER = struct.Struct("<4sHBBQQ")
 DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+BLOCK_BYTES = 8 << 20
 
 
 def write_matrix(path, m, dtype=np.float64) -> None:
@@ -39,23 +50,56 @@ def write_matrix(path, m, dtype=np.float64) -> None:
     code = codes.get(np_dtype.newbyteorder("<"))
     if code is None:
         raise InvalidInputError(f"unsupported dtype {np_dtype}")
-    if code == 0 and np.abs(m).max() > np.finfo(np.float32).max:
+    if code == 0 and max(m.max(), -m.min()) > np.finfo(np.float32).max:
         raise InvalidInputError("matrix entries exceed the float32 range")
     header = HEADER.pack(MAGIC, VERSION, code, 0, m.shape[0], m.shape[1])
-    payload = np.ascontiguousarray(m, dtype=DTYPE_CODES[code]).tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(m, dtype=DTYPE_CODES[code]))
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file, returning float64 regardless of stored dtype."""
-    blob = Path(path).read_bytes()
-    if len(blob) >= 4 and blob[:4] != MAGIC:
-        raise InvalidInputError(f"bad magic {blob[:4]!r}")
-    if len(blob) < HEADER.size:
-        raise InvalidInputError(
-            f"header needs {HEADER.size} bytes, file has {len(blob)}"
-        )
-    _, version, code, flags, rows, cols = HEADER.unpack_from(blob)
+    with open(path, "rb") as fh:
+        dtype, rows, cols = _read_header(fh)
+        step = _block_rows(cols)
+        m = np.empty((rows, cols))
+        staging = _staging(dtype, min(step, rows), cols)
+        for start in range(0, rows, step):
+            _read_rows(fh, m[start : start + step], staging)
+    return m
+
+
+def read_row_blocks(path):
+    """Yield a matrix file's rows as float64 blocks of at most BLOCK_BYTES.
+
+    Each block is checked as `read_matrix` checks the whole payload, and
+    the header and size checks run before the first block is read. Every
+    block reuses one buffer, so a block is valid until the next is drawn.
+    """
+    with open(path, "rb") as fh:
+        dtype, rows, cols = _read_header(fh)
+        step = _block_rows(cols)
+        wide = np.empty((min(step, rows), cols))
+        staging = _staging(dtype, *wide.shape)
+        for start in range(0, rows, step):
+            block = wide[: min(step, rows - start)]
+            _read_rows(fh, block, staging)
+            yield block
+
+
+def _read_header(fh) -> tuple[np.dtype, int, int]:
+    """Check an open file's header and size; return (stored dtype, rows, cols)."""
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        raise InvalidInputError(f"{fh.name} is not a regular file")
+    size = info.st_size
+    head = fh.read(HEADER.size)
+    if len(head) >= 4 and head[:4] != MAGIC:
+        raise InvalidInputError(f"bad magic {head[:4]!r}")
+    if len(head) < HEADER.size:
+        raise InvalidInputError(f"header needs {HEADER.size} bytes, file has {size}")
+    _, version, code, flags, rows, cols = HEADER.unpack(head)
     if version != VERSION:
         raise InvalidInputError(f"unsupported version {version}")
     if code not in DTYPE_CODES:
@@ -66,15 +110,32 @@ def read_matrix(path) -> np.ndarray:
         raise InvalidInputError(f"dimensions must be positive, got {rows}x{cols}")
     np_dtype = DTYPE_CODES[code]
     expected = HEADER.size + rows * cols * np_dtype.itemsize
-    if len(blob) < expected:
+    if size < expected:
         raise InvalidInputError(
             f"payload needs {expected - HEADER.size} bytes, "
-            f"file has {len(blob) - HEADER.size}"
+            f"file has {size - HEADER.size}"
         )
-    if len(blob) > expected:
-        raise InvalidInputError(f"{len(blob) - expected} trailing bytes after payload")
-    flat = np.frombuffer(blob, dtype=np_dtype, offset=HEADER.size)
-    m = flat.reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(m)):
+    if size > expected:
+        raise InvalidInputError(f"{size - expected} trailing bytes after payload")
+    return np_dtype, rows, cols
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per block: BLOCK_BYTES of float64, and at least one row."""
+    return max(1, BLOCK_BYTES // (8 * cols))
+
+
+def _staging(dtype: np.dtype, rows: int, cols: int) -> np.ndarray | None:
+    """The stored-dtype buffer a float32 block is read into; float64 needs none."""
+    return None if dtype.itemsize == 8 else np.empty((rows, cols), dtype)
+
+
+def _read_rows(fh, dest: np.ndarray, staging: np.ndarray | None) -> None:
+    """Fill dest's rows from the file, checked, through staging if it is given."""
+    raw = dest if staging is None else staging[: len(dest)]
+    if fh.readinto(raw) != raw.nbytes:
+        raise InvalidInputError("file ended inside its payload")
+    if not np.isfinite(raw).all():
         raise InvalidInputError("payload contains non-finite values")
-    return m
+    if raw is not dest:
+        np.copyto(dest, raw)

@@ -57,6 +57,7 @@ INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
     "l0prune.linalg": ["check_instance", "eigendecompose", "validate_gram"],
+    "l0prune.matrixio": ["read_row_blocks"],
     "l0prune.projections": ["project", "support_change"],
 }
 

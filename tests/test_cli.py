@@ -16,7 +16,7 @@ from l0prune import (
     relative_error,
     write_matrix,
 )
-from l0prune import linalg
+from l0prune import linalg, matrixio
 from l0prune.cli import _budget_block, main
 
 from conftest import correlated_activations, count_calls
@@ -136,6 +136,23 @@ def test_prune_accepts_activations_directly(workspace):
     )
     assert code == 0
     assert json.loads(paths["report"].read_text())["support_size"] == 50
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_activation_in_last_block_exits_2(workspace, monkeypatch, capsys, bad):
+    # 64 rows of 10 read 8 at a time: the bad entry is in the eighth block.
+    paths, _, _ = workspace
+    blob = bytearray(paths["activations"].read_bytes())
+    blob[-8:] = struct.pack("<d", bad)
+    paths["activations"].write_bytes(bytes(blob))
+    monkeypatch.setattr(matrixio, "BLOCK_BYTES", 8 * 10 * 8)
+    code = run(
+        "prune", "--weights", paths["weights"], "--activations", paths["activations"],
+        "--k", 30, "--out", paths["out"],
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: payload contains non-finite values\n"
+    assert not paths["out"].exists()
 
 
 def test_prune_nm_budget_groups_feasible(workspace):

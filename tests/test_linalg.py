@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from l0prune import (
     relative_error,
 )
 from l0prune.admm import ScaledProblem, admm_step, initial_state
-from l0prune.linalg import as_matrix, eigendecompose, validate_gram
+from l0prune.linalg import as_matrix, check_instance, eigendecompose, validate_gram
 
 from conftest import random_psd
 
@@ -60,6 +61,26 @@ def test_gram_output_is_exactly_symmetric():
     validate_gram(h)
 
 
+def test_gram_sums_row_blocks_in_order():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((9, 4))
+    blocks = iter([x[:4], x[4:8].copy(), x[8:]])
+    np.testing.assert_allclose(gram_from_activations(blocks), x.T @ x, rtol=1e-13)
+    one = gram_from_activations(iter([x]))
+    assert one.tobytes() == gram_from_activations(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [([], "no row blocks"), ([np.ones((2, 3)), np.ones((2, 4))], "4 columns, expected 3"),
+     ([np.ones((2, 3)), np.array([[np.nan, 0.0, 0.0]])], "non-finite")],
+    ids=["empty", "ragged", "nan"],
+)
+def test_gram_rejects_bad_row_blocks(blocks, message):
+    with pytest.raises(InvalidInputError, match=message):
+        gram_from_activations(iter(blocks))
+
+
 # --- validate_gram ---
 
 
@@ -80,6 +101,32 @@ def test_validate_gram_accepts_tiny_asymmetry():
     h = np.eye(2)
     h[0, 1] = 1e-12
     validate_gram(h)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_validate_gram_tolerance_scales_with_largest_magnitude(sign):
+    # The scale is max |h|, also when the most negative entry sets it.
+    h = np.diag([sign * 4.0, 1.0])
+    h[0, 1] = 1e-9 * 4.0
+    validate_gram(h)
+    h[0, 1] = np.nextafter(h[0, 1], 1.0)
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        validate_gram(h)
+
+
+def test_instance_check_holds_one_gram_sized_temporary():
+    n = 512
+    h = random_psd(np.random.default_rng(4), n)
+    w_hat = np.ones((n, 2))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        check_instance(h, w_hat)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
 
 
 # --- eigendecompose ---
