@@ -27,12 +27,15 @@ The step runs in place, in six n x m buffers allocated once per solve:
 D, Q^T G, Q^T W, Q^T D, Q^T V and a spare. It forms ||D - D_prev|| and
 ||W - D|| from differences it needs anyway, and ||D||, ||V||,
 ||G - H D|| and ||H V|| are taken once after each step and carried into
-the next record as its pre-step norms. Through the loop a solve holds
-these buffers, the scaled W_hat and Gram, Q, and during a top-k
-projection the copy np.partition reorders. Only D and rho outlive the
-loop: the state goes, and Q with it, before the polish, which reads only
-the Gram's spectral norm, lambda_max, and refines in D's buffer, so the
-loop, not the polish, sets the solve's memory peak.
+the next record as its pre-step norms. The state holds only these
+buffers, Q and lambda; admm_solve owns rho, the iteration count, the last
+checked support and the stop. Through the loop a solve holds the state,
+the scaled W_hat and Gram, and during a top-k projection the copy
+np.partition reorders. Only D and rho outlive the loop: the state and the
+support go before the polish, which reads only lambda_max and refines in
+D's buffer, so it stays below the loop. The loop sets a wide layer's
+memory peak, the eigendecomposition a tall one's: about 6 n^2, with
+NumPy's copy of the input, LAPACK's work array and Q beside the Gram.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -148,36 +151,32 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
 
 @dataclass(eq=False)
 class AdmmState:
-    """One solve's iterates and work buffers, advanced in place by admm_step.
+    """One solve's factorization and work buffers, advanced in place by admm_step.
 
     q and lam are the eigenvectors and eigenvalues of the scaled Gram. D is
     kept as d; W and V only in that eigenbasis, as qtw and qtv, next to
     qtg and qtd (Q^T G and Q^T D). spare is a work buffer of the same
-    shape, which the step overwrites. d_change (||D - D_prev||) and wd_gap
-    (||W - D||) are the last step's, None before the first.
+    shape, which the step overwrites.
     """
 
+    q: np.ndarray
+    lam: np.ndarray
     d: np.ndarray
     qtg: np.ndarray
     qtw: np.ndarray
     qtd: np.ndarray
     qtv: np.ndarray
     spare: np.ndarray
-    rho: float
-    iteration: int
-    prev_support: np.ndarray
-    q: np.ndarray
-    lam: np.ndarray
-    d_change: float | None = None
-    wd_gap: float | None = None
 
 
-def initial_state(scaled: ScaledProblem, rho0: float) -> AdmmState:
+def initial_state(scaled: ScaledProblem) -> AdmmState:
     """Factor the scaled Gram; start from the dense weights: D = w_hat, V = 0."""
     lam, q = eigendecompose(scaled.gram)
     w_hat = scaled.w_hat
     qtd = q.T @ w_hat
     return AdmmState(
+        q=q,
+        lam=lam,
         d=w_hat.copy(),
         # Q^T H W_hat = diag(lambda) Q^T W_hat, so G itself is never formed.
         qtg=lam[:, None] * qtd,
@@ -185,17 +184,13 @@ def initial_state(scaled: ScaledProblem, rho0: float) -> AdmmState:
         qtd=qtd,
         qtv=np.zeros_like(w_hat),
         spare=np.empty_like(w_hat),
-        rho=rho0,
-        iteration=0,
-        prev_support=w_hat != 0.0,
-        q=q,
-        lam=lam,
     )
 
 
-def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
-    """Advance W, D, V one iteration in place, under one rho; returns state."""
-    rho, q = state.rho, state.q
+def admm_step(
+    state: AdmmState, rho: float, budget: SparsityBudget
+) -> tuple[float, float]:
+    """Advance W, D, V one iteration in place; returns ||D - D_prev||, ||W - D||."""
     d, qtd, qtv, spare, qtw = state.d, state.qtd, state.qtv, state.spare, state.qtw
     # (H + rho I) W = G - V + rho D is diagonal in the eigenbasis.
     np.subtract(state.qtg, qtv, out=qtw)
@@ -205,30 +200,26 @@ def admm_step(state: AdmmState, budget: SparsityBudget) -> AdmmState:
     # new D goes into spare, and its Q^T D into D's buffer.
     a = np.divide(qtv, rho, out=spare)
     a += qtw
-    d_next = project(np.matmul(q, a, out=d), budget, out=spare)
-    qtd_next = np.matmul(q.T, d_next, out=d)
+    d_next = project(np.matmul(state.q, a, out=d), budget, out=spare)
+    qtd_next = np.matmul(state.q.T, d_next, out=d)
     # Q is orthogonal, so both norms can be taken in the eigenbasis, in
     # the old Q^T D's buffer: D - D_prev, then W - D for the dual update.
-    state.d_change = _frob(np.subtract(qtd_next, qtd, out=qtd))
+    d_change = _frob(np.subtract(qtd_next, qtd, out=qtd))
     gap = np.subtract(qtw, qtd_next, out=qtd)
-    state.wd_gap = _frob(gap)
+    wd_gap = _frob(gap)
     gap *= rho
     qtv += gap
     state.d, state.qtd, state.spare = d_next, qtd_next, gap
-    state.iteration += 1
-    return state
+    return d_change, wd_gap
 
 
-def rho_update(rho: float, s_t: int, k: int) -> float | None:
+def rho_update(rho: float, s_t: int, k: int) -> float:
     """Step-function penalty growth from the support change s_t.
 
     A change of at least CHURN_THRESHOLDS[0] * k entries grows rho by
     RHO_MULTIPLIERS[0], one of at least [1] * k by [1], a smaller one by
-    [2]. Returns None when the support did not move at all, which signals
-    the caller to stop iterating.
+    [2]. admm_solve stops the loop on s_t = 0 instead of calling it.
     """
-    if s_t == 0:
-        return None
     if s_t >= CHURN_THRESHOLDS[0] * k:
         return RHO_MULTIPLIERS[0] * rho
     if s_t >= CHURN_THRESHOLDS[1] * k:
@@ -275,7 +266,7 @@ def polish(
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / spectral_norm
     mask = d != 0.0
-    w, cg_iters, _ = support_cg(h, w_hat, mask, d, cfg.pcg_iters)
+    w, cg_iters = support_cg(h, w_hat, mask, d, cfg.pcg_iters)
     # H (W_hat - W) is minus half the objective's gradient.
     descent, objective = gap_form(h, w_hat, w)
     rounds = 0
@@ -286,7 +277,7 @@ def polish(
         d_mask = d != 0.0
         if np.array_equal(d_mask, mask):
             break
-        candidate, iters, _ = support_cg(h, w_hat, d_mask, d, cfg.pcg_iters)
+        candidate, iters = support_cg(h, w_hat, d_mask, d, cfg.pcg_iters)
         cg_iters += iters
         descent, candidate_objective = gap_form(h, w_hat, candidate)
         if not candidate_objective < objective:
@@ -318,53 +309,50 @@ def admm_solve(
     k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
     # Only the state holds Q, so deleting the state frees it.
-    state = initial_state(scaled, cfg.rho0)
+    state = initial_state(scaled)
     spectral_norm = float(state.lam[-1])
     trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=_frob(state.qtg))
     pre = _norms(state)
+    rho, support = cfg.rho0, scaled.w_hat != 0.0
     stabilized = False
-    while state.iteration < cfg.max_iters:
-        rho_t = state.rho
-        admm_step(state, budget)
+    for t in range(1, cfg.max_iters + 1):
+        d_change, wd_gap = admm_step(state, rho, budget)
         delta = None
-        boundary = state.iteration % CHECK_PERIOD == 0
-        if boundary:
+        if t % CHECK_PERIOD == 0:
             current = state.d != 0.0
-            delta = support_change(current, state.prev_support)
-            # Only the state may hold the support, or it outlives the loop.
-            state.prev_support = current
+            delta = support_change(current, support)
+            support = current
             del current
         # Each step's post-step norms are the next record's pre-step ones.
         post = _norms(state)
         trace.records.append(
             IterRecord(
-                rho_t,
+                rho,
                 *pre,
                 v_next_norm=post[1],
-                d_change=state.d_change,
-                wd_gap=state.wd_gap,
+                d_change=d_change,
+                wd_gap=wd_gap,
                 support_change=delta,
             )
         )
         pre = post
-        if boundary:
-            new_rho = rho_update(rho_t, delta, k_eff)
-            if new_rho is None:
-                stabilized = True
-                break
-            state.rho = new_rho
+        if delta == 0:
+            stabilized = True
+            break
+        if delta is not None:
+            rho = rho_update(rho, delta, k_eff)
 
-    # Only D goes on: the other iterates, the work buffers and Q must not
-    # stay alive through the polish, where they would set the memory peak.
-    d, rho_final = state.d, state.rho
-    del state
+    # Only D goes on: the other iterates, the work buffers, Q and the
+    # support must not stay alive through the polish.
+    d = state.d
+    del state, support
     polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, cfg)
     w = scaled.scale[:, None] * polished
     return build_solution(
         w, h, w_hat, "admm",
         stabilized=stabilized,
         iterations=len(trace.records),
-        rho_final=rho_final,
+        rho_final=rho,
         pcg_iters_used=pcg_iters,
         polish_rounds=polish_rounds,
         trace=trace,

@@ -70,20 +70,20 @@ def support_cg(
     mask: np.ndarray,
     w: np.ndarray,
     max_iters: int,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int]:
     """Plain CG on a fixed support, for arrays already checked and rescaled.
 
     Takes a conforming finite Gram, dense weights, boolean support mask
     and a warm start w that vanishes off the mask, as pcg_refine checks
     and rescales them. Refines in place: returns w, overwritten with the
-    refined weights, the iterations run and the final residual relative
-    to the first. Raises DegenerateInstanceError as pcg_refine documents.
+    refined weights, and the iterations run. Raises DegenerateInstanceError
+    as pcg_refine documents.
     """
     r = h @ (w_hat - w)
     r *= mask
     r0_norm = float(np.linalg.norm(r))
     if r0_norm <= ABS_FLOOR:
-        return w, 0, 0.0
+        return w, 0
 
     p = r.copy()
     rr = np.vdot(r, r)
@@ -115,4 +115,4 @@ def support_cg(
         p *= rr_new / rr
         p += r
         rr = rr_new
-    return w, iterations, rel_residual
+    return w, iterations

@@ -2,7 +2,7 @@ import gc
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +22,9 @@ from l0prune import (
 )
 from l0prune import admm, linalg, projections
 from l0prune.admm import (
+    CHECK_PERIOD,
+    RHO_MULTIPLIERS,
+    AdmmState,
     ScaledProblem,
     admm_step,
     initial_state,
@@ -30,7 +33,7 @@ from l0prune.admm import (
     rho_update,
 )
 from l0prune.linalg import eigendecompose
-from l0prune.projections import budget_mask, budget_size, project
+from l0prune.projections import budget_mask, budget_size, project, support_change
 
 from conftest import count_calls, random_problem, random_psd
 
@@ -143,23 +146,31 @@ def test_preprocess_quarantines_dead_coordinates():
 # --- admm_step ---
 
 
+def test_state_holds_only_the_factorization_and_buffers():
+    # The penalty, the iteration count and the support are the loop's.
+    names = [f.name for f in fields(AdmmState)]
+    assert names == ["q", "lam", "d", "qtg", "qtw", "qtd", "qtv", "spare"]
+    state = initial_state(preprocess(*random_problem(np.random.default_rng(2), 6, 3)))
+    assert all(isinstance(getattr(state, name), np.ndarray) for name in names)
+
+
 def test_first_step_fixes_dense_weights():
     # From the start state the dense update has W_hat as its exact solution.
     rng = np.random.default_rng(2)
     h, w_hat = random_problem(rng, 6, 3)
     scaled = preprocess(h, w_hat)
-    state = initial_state(scaled, 0.1)
-    stepped = admm_step(state, Unstructured(18))
-    np.testing.assert_allclose(stepped.q @ stepped.qtw, scaled.w_hat, atol=1e-12)
+    state = initial_state(scaled)
+    admm_step(state, 0.1, Unstructured(18))
+    np.testing.assert_allclose(state.q @ state.qtw, scaled.w_hat, atol=1e-12)
 
 
 def test_step_with_zero_gram_copies_sparse_iterate():
     # With H = 0, G = 0 and V = 0, the dense update is W = (rho D) / rho = D.
     w_hat = np.arange(6.0).reshape(3, 2)
-    state = initial_state(ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat), 2.0)
+    state = initial_state(ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat))
     d = state.d.copy()  # the step overwrites the state in place
-    stepped = admm_step(state, Unstructured(6))
-    np.testing.assert_allclose(stepped.q @ stepped.qtw, d, atol=1e-14)
+    admm_step(state, 2.0, Unstructured(6))
+    np.testing.assert_allclose(state.q @ state.qtw, d, atol=1e-14)
 
 
 def test_step_on_diagonal_gram_by_hand():
@@ -167,15 +178,15 @@ def test_step_on_diagonal_gram_by_hand():
     # returns W = W_hat, keeps the first of the tied entries, V = (0, 1).
     # Step 2: W = (G - V + D) / (diag(H) + 1) = (2, 3) / (2, 5).
     scaled = ScaledProblem(np.ones(2), np.diag([1.0, 4.0]), np.ones((2, 1)))
-    state = initial_state(scaled, 1.0)
-    first = admm_step(state, Unstructured(1))
-    np.testing.assert_allclose(first.q @ first.qtw, [[1.0], [1.0]], atol=1e-14)
-    np.testing.assert_array_equal(first.d, [[1.0], [0.0]])
-    np.testing.assert_allclose(first.q @ first.qtv, [[0.0], [1.0]], atol=1e-14)
-    second = admm_step(first, Unstructured(1))
-    np.testing.assert_allclose(second.q @ second.qtw, [[1.0], [0.6]], atol=1e-14)
-    np.testing.assert_allclose(second.d, [[0.0], [1.6]], atol=1e-14)
-    np.testing.assert_allclose(second.q @ second.qtv, [[1.0], [0.0]], atol=1e-14)
+    state = initial_state(scaled)
+    admm_step(state, 1.0, Unstructured(1))
+    np.testing.assert_allclose(state.q @ state.qtw, [[1.0], [1.0]], atol=1e-14)
+    np.testing.assert_array_equal(state.d, [[1.0], [0.0]])
+    np.testing.assert_allclose(state.q @ state.qtv, [[0.0], [1.0]], atol=1e-14)
+    admm_step(state, 1.0, Unstructured(1))
+    np.testing.assert_allclose(state.q @ state.qtw, [[1.0], [0.6]], atol=1e-14)
+    np.testing.assert_allclose(state.d, [[0.0], [1.6]], atol=1e-14)
+    np.testing.assert_allclose(state.q @ state.qtv, [[1.0], [0.0]], atol=1e-14)
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.1, 1e4])
@@ -183,10 +194,10 @@ def test_step_matches_explicit_inverse(rho):
     rng = np.random.default_rng(3)
     h, w_hat = random_problem(rng, 5, 2)
     scaled = preprocess(h, w_hat)
-    state = initial_state(scaled, rho)
+    state = initial_state(scaled)
     budget = Unstructured(4)
     for _ in range(3):
-        state = admm_step(state, budget)
+        admm_step(state, rho, budget)
 
     hp, v_prev = scaled.gram, state.q @ state.qtv
     g = scaled.gram @ scaled.w_hat
@@ -199,10 +210,10 @@ def test_step_matches_explicit_inverse(rho):
         0.0,
     )
     v = v_prev + rho * (w - d)
-    after = admm_step(state, budget)
-    np.testing.assert_allclose(after.q @ after.qtw, w, atol=1e-8)
-    np.testing.assert_allclose(after.d, d, atol=1e-8)
-    np.testing.assert_allclose(after.q @ after.qtv, v, atol=1e-8)
+    admm_step(state, rho, budget)
+    np.testing.assert_allclose(state.q @ state.qtw, w, atol=1e-8)
+    np.testing.assert_allclose(state.d, d, atol=1e-8)
+    np.testing.assert_allclose(state.q @ state.qtv, v, atol=1e-8)
 
 
 def _assert_rel_close(actual, expected, rtol=1e-9):
@@ -226,7 +237,7 @@ def test_step_matches_original_basis_loop(case, budget):
     sol = admm_solve(h, w_hat, budget, AdmmConfig(max_iters=40))
     # preprocess trusts the float64 arrays admm_solve makes of its inputs.
     scaled = preprocess(h.astype(np.float64), w_hat.astype(np.float64))
-    state = initial_state(scaled, AdmmConfig().rho0)
+    state = initial_state(scaled)
     hp = scaled.gram
     g = hp @ scaled.w_hat
     d, v = scaled.w_hat.copy(), np.zeros_like(scaled.w_hat)
@@ -253,7 +264,7 @@ def test_step_matches_original_basis_loop(case, budget):
             assert record.d_change == pytest.approx(np.linalg.norm(d - d_prev), rel=1e-9)
             assert record.wd_gap == pytest.approx(np.linalg.norm(w - d), rel=1e-9)
 
-        state = admm_step(replace(state, rho=rho), budget)
+        admm_step(state, rho, budget)
         assert np.array_equal(state.d != 0.0, d != 0.0)
         _assert_rel_close(state.q @ state.qtw, w)
         _assert_rel_close(state.d, d)
@@ -361,10 +372,10 @@ def test_sparse_iterate_feasible_after_every_step():
     h, w_hat = random_problem(rng, 6, 4)
     scaled = preprocess(h, w_hat)
     for budget in (Unstructured(7), NM(2, 3)):
-        s = initial_state(scaled, 0.1)
+        s = initial_state(scaled)
         cap = budget_size(budget, w_hat.shape)
         for _ in range(10):
-            s = admm_step(s, budget)
+            admm_step(s, 0.1, budget)
             assert np.count_nonzero(s.d) <= cap
 
 
@@ -385,8 +396,19 @@ def test_rho_update_step_function(rho, s_t, k, expected):
     assert rho_update(rho, s_t, k) == pytest.approx(expected)
 
 
-def test_rho_update_signals_stabilized():
-    assert rho_update(0.5, 0, 100) is None
+def test_frozen_support_stops_the_solve_not_rho_update():
+    # The loop, not the schedule, stops on a check period that moved no
+    # support entry; the penalty it reports is the one that step ran at.
+    rng = np.random.default_rng(10)
+    h, w_hat = random_problem(rng, 8, 4)
+    sol = admm_solve(h, w_hat, Unstructured(10))
+    assert sol.stabilized
+    assert sol.iterations % CHECK_PERIOD == 0
+    assert sol.iterations > CHECK_PERIOD
+    last = sol.trace.records[-1]
+    assert last.support_change == 0
+    assert sol.rho_final == last.rho
+    assert rho_update(0.5, 0, 100) == RHO_MULTIPLIERS[2] * 0.5
 
 
 # --- admm_solve ---
@@ -538,41 +560,38 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
 
 
 def test_polish_runs_without_loop_iterates(monkeypatch):
-    # The loop's iterates, work buffers and Q must not stay alive through
-    # the polish, where they would set the solve's memory peak; only the
-    # last D is handed over.
-    states, arrays = [], []
+    # The state, its buffers and Q, and the supports the loop checked must
+    # not stay alive through the polish, where they would raise the
+    # solve's memory peak; only the last D is handed over.
+    held = []
 
-    def tracked(fn):
-        def wrapper(*args, **kwargs):
-            state = fn(*args, **kwargs)
-            states.append(weakref.ref(state))
-            held = vars(state).values()
-            arrays.extend(weakref.ref(a) for a in held if isinstance(a, np.ndarray))
-            return state
+    def tracked_initial_state(scaled):
+        state = initial_state(scaled)
+        held.append(weakref.ref(state))
+        held.extend(weakref.ref(a) for a in vars(state).values())
+        return state
 
-        return wrapper
+    def tracked_support_change(current, previous):
+        held.extend((weakref.ref(current), weakref.ref(previous)))
+        return support_change(current, previous)
 
     entries = []
 
     def checked_polish(scaled, spectral_norm, budget, d, cfg):
         gc.collect()
-        entries.append(
-            [ref() is None for ref in states]
-            + [ref() is None or ref() is d for ref in arrays]
-        )
+        entries.append([ref() is None or ref() is d for ref in held])
         return polish(scaled, spectral_norm, budget, d, cfg)
 
-    monkeypatch.setattr(admm, "initial_state", tracked(initial_state))
-    monkeypatch.setattr(admm, "admm_step", tracked(admm_step))
+    monkeypatch.setattr(admm, "initial_state", tracked_initial_state)
+    monkeypatch.setattr(admm, "support_change", tracked_support_change)
     monkeypatch.setattr(admm, "polish", checked_polish)
     rng = np.random.default_rng(16)
     h, w_hat = random_problem(rng, 12, 8)
     # One solve stops on a frozen support, at a check boundary; one stops
     # at max_iters = 4, between boundaries.
     for cfg in (AdmmConfig(), AdmmConfig(max_iters=4)):
-        states.clear()
-        arrays.clear()
+        held.clear()
         admm_solve(h, w_hat, Unstructured(30), cfg)
-        assert len(states) > 1
+        # The state, its eight arrays, and at least one checked pair.
+        assert len(held) >= 1 + len(fields(AdmmState)) + 2
         assert all(entries.pop())

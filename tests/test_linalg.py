@@ -174,9 +174,9 @@ def test_eigendecompose_rejects_indefinite():
 
 def step_ridge_solve(h, rho, b):
     zeros = np.zeros_like(b)
-    state = initial_state(ScaledProblem(np.ones(len(h)), h, zeros), rho)
+    state = initial_state(ScaledProblem(np.ones(len(h)), h, zeros))
     state = replace(state, qtv=state.q.T @ -b)
-    state = admm_step(state, Unstructured(b.size))
+    admm_step(state, rho, Unstructured(b.size))
     return state.q @ state.qtw
 
 
