@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -68,21 +69,20 @@ def _budget_block(budget: SparsityBudget, shape) -> dict:
 def _report_for(
     solution: PruneSolution,
     method: str,
-    budget_block: dict,
-    shape,
+    budget: SparsityBudget,
     runtime_ms: float,
 ) -> dict:
     """One run's JSON report; the file lists its keys in this order."""
     lemma1 = lemma2 = None
     ratio = None
-    if solution.trace is not None and solution.trace.records:
+    if solution.trace is not None:
         lemma1 = len(check_lemma1(solution.trace))
         lemma2 = len(check_lemma2(solution.trace))
         ratio = theorem1_residual_bound(solution.trace).worst_ratio
     return {
         "method": method,
-        "budget": budget_block,
-        "dims": [int(shape[0]), int(shape[1])],
+        "budget": _budget_block(budget, solution.w.shape),
+        "dims": list(solution.w.shape),
         "iterations": solution.iterations,
         "rho_final": solution.rho_final,
         "stabilized": solution.stabilized,
@@ -98,7 +98,12 @@ def _report_for(
     }
 
 
-def _emit(report: dict, solution: PruneSolution, args) -> None:
+def _solve_and_report(args, solve, budget: SparsityBudget, method=None) -> int:
+    """Time solve() alone, then write --out and the report; method defaults to solve's."""
+    start = time.perf_counter()
+    solution = solve()
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    report = _report_for(solution, method or solution.method, budget, runtime_ms)
     if args.out:
         write_matrix(args.out, solution.w)
     text = json.dumps(report, indent=2)
@@ -107,29 +112,21 @@ def _emit(report: dict, solution: PruneSolution, args) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+    return EXIT_OK
 
 
 def cmd_prune(args) -> int:
     w_hat = read_matrix(args.weights)
     h = _load_gram(args)
     budget = _budget_for(args, w_hat.shape)
-    start = time.perf_counter()
     if args.method == "alps":
-        cfg = AdmmConfig(
-            rho0=args.rho0, max_iters=args.max_iters, pcg_iters=args.pcg_iters
-        )
-        solution = admm_solve(h, w_hat, budget, cfg)
+        knobs = {f.name: getattr(args, f.name) for f in dataclasses.fields(AdmmConfig)}
+        solve = partial(admm_solve, h, w_hat, budget, AdmmConfig(**knobs))
     elif args.method == "mp":
-        solution = magnitude_prune(w_hat, budget, gram=h)
+        solve = partial(magnitude_prune, w_hat, budget, gram=h)
     else:
-        solution = activation_weighted_prune(w_hat, h, budget)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = _report_for(
-        solution, args.method, _budget_block(budget, w_hat.shape),
-        w_hat.shape, runtime_ms,
-    )
-    _emit(report, solution, args)
-    return EXIT_OK
+        solve = partial(activation_weighted_prune, w_hat, h, budget)
+    return _solve_and_report(args, solve, budget, args.method)
 
 
 def cmd_eval(args) -> int:
@@ -143,20 +140,14 @@ def cmd_eval(args) -> int:
 def cmd_oracle(args) -> int:
     w_hat = read_matrix(args.weights)
     h = _load_gram(args)
-    start = time.perf_counter()
-    if args.pruned is not None:
-        support = support_of(read_matrix(args.pruned))
-        w = backsolve_exact(h, w_hat, support)
-        solution = build_solution(w, h, w_hat, "backsolve")
-        k = int(np.count_nonzero(support))
+    if args.pruned is None:
+        k = max(args.brute_k, 0)  # brute_force_support rejects k < 0 after its checks
+        solve = partial(brute_force_support, h, w_hat, args.brute_k)
     else:
-        solution = brute_force_support(h, w_hat, args.brute_k)
-        k = args.brute_k
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    block = _budget_block(Unstructured(k), w_hat.shape)
-    report = _report_for(solution, solution.method, block, w_hat.shape, runtime_ms)
-    _emit(report, solution, args)
-    return EXIT_OK
+        support = support_of(read_matrix(args.pruned))
+        k = int(np.count_nonzero(support))
+        solve = lambda: build_solution(backsolve_exact(h, w_hat, support), h, w_hat, "backsolve")
+    return _solve_and_report(args, solve, Unstructured(k))
 
 
 def cmd_gram(args) -> int:
@@ -190,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune.add_argument("--out", help="where to write the pruned weights")
     prune.add_argument("--report", help="where to write the JSON report")
-    prune.add_argument("--rho0", type=float, default=0.1)
-    prune.add_argument("--max-iters", type=int, default=300)
-    prune.add_argument("--pcg-iters", type=int, default=10)
+    for f in dataclasses.fields(AdmmConfig):
+        flag = "--" + f.name.replace("_", "-")
+        prune.add_argument(flag, type=type(f.default), default=f.default)
     prune.set_defaults(func=cmd_prune)
 
     evaluate = sub.add_parser("eval", help="relative error of a pruned file")
@@ -229,12 +220,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
         return args.func(args)
-    except DegenerateInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (PruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateInstanceError) else EXIT_INVALID
 
 
 def entry() -> None:

@@ -95,8 +95,6 @@ def support_cg(
         np.dot(h, p, out=hp)
         denom = np.vdot(p, hp)
         if denom <= 0.0:
-            if rel_residual <= REL_TOL:
-                break
             raise DegenerateInstanceError(
                 f"curvature {denom:.3e} along search direction with residual "
                 f"{rel_residual:.3e} of start"

@@ -70,7 +70,7 @@ def budget_size(budget: SparsityBudget, shape: tuple[int, int]) -> int:
     check_budget(budget, shape)
     n_in, n_out = shape
     if isinstance(budget, Unstructured):
-        return min(budget.k, n_in * n_out)
+        return budget.k
     return budget.n * (n_in // budget.m) * n_out
 
 

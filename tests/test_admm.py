@@ -498,6 +498,26 @@ def test_dead_channels_never_enter_the_support():
     assert np.count_nonzero(sol.support) == 8
 
 
+def test_metrics_are_measured_on_the_callers_gram():
+    # Channel 2's diagonal is 7e-13 of the largest, under DEAD_DIAG_RTOL, so
+    # the solve sets it aside; its tiny activations still carry output energy
+    # through weights scaled by 1e5, which the reported metrics must count.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((48, 12))
+    x[:, 2] *= 1e-6
+    w_hat = rng.standard_normal((12, 4))
+    w_hat[2] *= 1e5
+    h = linalg.gram_from_activations(x)
+    assert np.diag(h)[2] <= admm.DEAD_DIAG_RTOL * np.diag(h).max()
+    sol = admm_solve(h, w_hat, Unstructured(20))
+    assert sol.objective == pytest.approx(layer_objective(h, w_hat, sol.w), rel=1e-12)
+    assert sol.rel_error == pytest.approx(linalg.relative_error(h, w_hat, sol.w), rel=1e-12)
+    # Measured on the Gram with channel 2 zeroed, the error reads 0.54% lower.
+    h_without = h.copy()
+    h_without[2, :] = h_without[:, 2] = 0.0
+    assert sol.rel_error > linalg.relative_error(h_without, w_hat, sol.w) * 1.005
+
+
 def test_solve_is_deterministic():
     rng = np.random.default_rng(12)
     h, w_hat = random_problem(rng, 6, 3)

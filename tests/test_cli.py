@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,15 @@ from l0prune import linalg, matrixio
 from l0prune.cli import _budget_block, main
 
 from conftest import correlated_activations, count_calls
+
+# bench/run.py and other readers parse the report; keep its keys stable.
+REPORT_KEYS = [
+    "method", "budget", "dims", "iterations", "rho_final", "stabilized",
+    "objective", "rel_error", "support_size", "pcg_iters_used",
+    "polish_rounds", "lemma1_violations", "lemma2_violations",
+    "theorem1_ratio", "runtime_ms",
+]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -76,18 +89,12 @@ def test_prune_writes_report_and_budgeted_weights(workspace):
 
 
 def test_prune_report_keys_in_order(workspace):
-    # bench/run.py and other readers parse this file; keep its keys stable.
     paths, _, _ = workspace
     assert run(
         "prune", "--weights", paths["weights"], "--gram", paths["gram"],
         "--k", 30, "--report", paths["report"],
     ) == 0
-    assert list(json.loads(paths["report"].read_text())) == [
-        "method", "budget", "dims", "iterations", "rho_final", "stabilized",
-        "objective", "rel_error", "support_size", "pcg_iters_used",
-        "polish_rounds", "lemma1_violations", "lemma2_violations",
-        "theorem1_ratio", "runtime_ms",
-    ]
+    assert list(json.loads(paths["report"].read_text())) == REPORT_KEYS
 
 
 def test_prune_report_counts_polish_rounds(tmp_path):
@@ -269,6 +276,57 @@ def test_oracle_brute_force_matches_library(tmp_path, capsys):
     assert report["method"] == "brute_force"
 
 
+@pytest.mark.parametrize(
+    "mode,k,method", [("--pruned", 4, "backsolve"), ("--brute-k", 3, "brute_force")]
+)
+def test_oracle_writes_the_prune_report(tmp_path, mode, k, method):
+    # k is the support size of the --pruned file, or the --brute-k value.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((16, 3))
+    w_hat = rng.standard_normal((3, 2))
+    pruned = w_hat.copy()
+    pruned[[0, 2], [1, 0]] = 0.0
+    for name, m in [("w", w_hat), ("h", gram_from_activations(x)), ("p", pruned)]:
+        write_matrix(tmp_path / f"{name}.amtx", m)
+    value = tmp_path / "p.amtx" if mode == "--pruned" else k
+    report_path = tmp_path / "r.json"
+    assert run(
+        "oracle", "--weights", tmp_path / "w.amtx", "--gram", tmp_path / "h.amtx",
+        mode, value, "--report", report_path,
+    ) == 0
+    report = json.loads(report_path.read_text())
+    assert list(report) == REPORT_KEYS
+    assert report["method"] == method
+    assert report["budget"] == {"kind": "unstructured", "k": k, "sparsity": 1.0 - k / 6}
+    assert report["dims"] == [3, 2]
+    assert report["lemma1_violations"] is None
+    assert report["lemma2_violations"] is None
+    assert report["theorem1_ratio"] is None
+
+
+def run_module(*argv):
+    """python -m l0prune in a child process, imported from src/ as the bench runs it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "l0prune", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_exit_status(workspace, tmp_path):
+    paths, _, _ = workspace
+    zeros = tmp_path / "zeros.amtx"
+    write_matrix(zeros, np.zeros((10, 10)))
+    source = ("--weights", paths["weights"], "--gram")
+    done = run_module("prune", *source, paths["gram"], "--k", 30, "--report", paths["report"])
+    assert done.returncode == 0
+    assert json.loads(paths["report"].read_text())["support_size"] == 30
+    bad_nm = run_module("prune", *source, paths["gram"], "--nm", "2:x")
+    assert bad_nm.returncode == 2
+    assert bad_nm.stderr == "error: expected N:M like 2:4, got '2:x'\n"
+    assert run_module("prune", *source, zeros, "--k", 5).returncode == 3
+
+
 # --- failure modes ---
 
 
@@ -396,6 +454,19 @@ def test_nm_budget_block_sparsity_is_n_over_m(n, m, n_in):
     # also where n / m is not a binary fraction.
     block = _budget_block(NM(n, m), (n_in, 4))
     assert list(block.items()) == [("kind", "nm"), ("n", n), ("m", m), ("sparsity", 1 - n / m)]
+
+
+def test_oracle_brute_force_checks_the_instance_before_k(tmp_path, capsys):
+    write_matrix(tmp_path / "w.amtx", np.ones((6, 6)))
+    write_matrix(tmp_path / "h.amtx", np.eye(6))
+    code = run(
+        "oracle", "--weights", tmp_path / "w.amtx", "--gram", tmp_path / "h.amtx",
+        "--brute-k", -1,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: instance has 36 weights; enumeration is capped at 20\n"
+    )
 
 
 def test_oracle_on_a_singular_support_exits_3_naming_the_column(tmp_path, capsys):
