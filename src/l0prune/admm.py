@@ -63,7 +63,7 @@ import numpy as np
 from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import EIG_NEG_RTOL, check_instance, eigendecompose, gap_form
+from .linalg import check_instance, eigendecompose, gap_form
 from .pcg import support_cg
 from .projections import (
     SparsityBudget, Unstructured, budget_size, project, support_change,
@@ -124,11 +124,9 @@ class ScaledProblem:
 
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
-    """Rescale the arrays admm_solve checked to a Gram with unit live diagonal."""
-    diag = np.diag(h).copy()
+    """Rescale arrays check_instance passed to a Gram with unit live diagonal."""
+    diag = np.diag(h)
     max_diag = float(diag.max())
-    if diag.min() < -EIG_NEG_RTOL * max(max_diag, 0.0):
-        raise InvalidInputError("gram is not positive semidefinite: negative diagonal")
     if max_diag <= 0.0:
         raise DegenerateInstanceError("gram diagonal is entirely zero")
     dead = diag <= DEAD_DIAG_RTOL * max_diag
@@ -322,7 +320,7 @@ def admm_solve(
             current = state.d != 0.0
             delta = support_change(current, support)
             support = current
-            del current
+            del current  # else it holds the last support through the polish
         # Each step's post-step norms are the next record's pre-step ones.
         post = _norms(state)
         trace.records.append(

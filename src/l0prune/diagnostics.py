@@ -155,9 +155,9 @@ def theorem1_residual_bound(trace: IterTrace) -> TheoremBound:
     where S proxies the infinite penalty sum by the realized sum of
     1/rho_t, extended at the final rho out to HORIZON iterations when the
     trace is shorter. The exponential can overflow to infinity for slowly
-    growing penalties; that only loosens the bound. Returns the constant together with the
-    worst observed ratio rho_t * max(d_change, wd_gap) / C, which should
-    never meaningfully exceed 1.
+    growing penalties; that only loosens the bound, and C = 0 at g = 0.
+    Returns the constant together with the worst observed ratio
+    rho_t * max(d_change, wd_gap) / C, which should not meaningfully exceed 1.
     """
     _require_records(trace)
     sum_inv = sum(1.0 / rec.rho for rec in trace.records)
@@ -168,7 +168,7 @@ def theorem1_residual_bound(trace: IterTrace) -> TheoremBound:
         growth = math.exp(3.0 * h * sum_inv)
     except OverflowError:
         growth = math.inf
-    c_hat = 2.0 * g + 2.0 * h * growth * (g + 3.0 * g * sum_inv)
+    c_hat = 2.0 * g + 2.0 * h * growth * (g + 3.0 * g * sum_inv) if g else 0.0
     worst = max(rec.rho * max(rec.d_change, rec.wd_gap) for rec in trace.records)
     if worst == 0.0:
         ratio = 0.0

@@ -76,11 +76,17 @@ def validate_gram(h) -> np.ndarray:
 
 
 def check_instance(h, w_hat) -> tuple[np.ndarray, np.ndarray]:
-    """The one check of a (Gram, dense weights) pair, run at every public entry."""
+    """The one check of a (Gram, dense weights) pair, run at every public entry.
+
+    validate_gram, conformity, and no diagonal entry below -EIG_NEG_RTOL * max(diag, 0).
+    """
     h = validate_gram(h)
     w_hat = as_matrix(w_hat, "dense weights")
     if w_hat.shape[0] != h.shape[0]:
         raise InvalidInputError(f"gram {h.shape}, weights {w_hat.shape} do not conform")
+    diag = np.diag(h)
+    if diag.min() < -EIG_NEG_RTOL * max(float(diag.max()), 0.0):
+        raise InvalidInputError("gram is not positive semidefinite: negative diagonal")
     return h, w_hat
 
 

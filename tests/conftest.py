@@ -6,6 +6,18 @@ import sys
 import numpy as np
 from hypothesis import settings
 
+from l0prune import (
+    Unstructured,
+    activation_weighted_prune,
+    admm_solve,
+    backsolve_exact,
+    brute_force_support,
+    layer_objective,
+    magnitude_prune,
+    pcg_refine,
+    relative_error,
+)
+
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
@@ -46,3 +58,21 @@ def count_calls(monkeypatch, module, name, counts):
         for attr, value in list(vars(owner).items()):
             if value is original:
                 monkeypatch.setattr(owner, attr, counted)
+
+
+# Every public entry taking a Gram and dense weights, as a function of the
+# pair (h, w_hat); the rest of its arguments are shaped by w_hat.
+GRAM_ENTRIES = {
+    "admm_solve": lambda h, w: admm_solve(h, w, Unstructured(2)),
+    "backsolve_exact": lambda h, w: backsolve_exact(h, w, np.ones(w.shape, bool)),
+    "brute_force_support": lambda h, w: brute_force_support(h, w, 2),
+    "activation_weighted_prune": lambda h, w: activation_weighted_prune(
+        w, h, Unstructured(2)
+    ),
+    "magnitude_prune": lambda h, w: magnitude_prune(w, Unstructured(2), gram=h),
+    "pcg_refine": lambda h, w: pcg_refine(
+        h, w, np.ones(w.shape, bool), np.zeros(w.shape)
+    ),
+    "layer_objective": lambda h, w: layer_objective(h, w, np.zeros(w.shape)),
+    "relative_error": lambda h, w: relative_error(h, w, np.zeros(w.shape)),
+}

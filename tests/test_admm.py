@@ -1,8 +1,12 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,11 @@ from l0prune.admm import (
 from l0prune.linalg import eigendecompose
 from l0prune.projections import budget_mask, budget_size, project, support_change
 
-from conftest import count_calls, random_problem, random_psd
+from conftest import (
+    GRAM_ENTRIES, correlated_activations, count_calls, random_problem, random_psd,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # --- budget_from_sparsity ---
@@ -128,11 +136,13 @@ def test_preprocess_zero_diagonal_rejected():
         preprocess(np.zeros((3, 3)), np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("entry", sorted(GRAM_ENTRIES))
 @pytest.mark.parametrize("h", [np.diag([1.0, -1.0, 2.0]), -np.eye(3)], ids=["one", "all"])
-def test_negative_gram_diagonal_rejected(h):
-    # Not a dead input to set aside, nor an all-zero diagonal: not PSD.
+def test_negative_gram_diagonal_rejected(h, entry):
+    # Not a dead input to set aside, nor an all-zero diagonal: not PSD, and
+    # every entry taking a Gram says so, not only the solver.
     with pytest.raises(InvalidInputError, match="not positive semidefinite"):
-        admm_solve(h, np.ones((3, 2)), Unstructured(3))
+        GRAM_ENTRIES[entry](h, np.ones((3, 2)))
 
 
 def test_preprocess_quarantines_dead_coordinates():
@@ -525,6 +535,48 @@ def test_solve_is_deterministic():
     b = admm_solve(h, w_hat, Unstructured(8))
     assert np.array_equal(a.w, b.w)
     assert a.objective == b.objective
+
+
+# Solves one instance from saved arrays in a child process, whose BLAS
+# thread count is fixed at start-up, and saves what the solves found.
+SOLVE_CHILD = """
+import sys
+import numpy as np
+import l0prune as lp
+h, w_hat = np.load(sys.argv[1]), np.load(sys.argv[2])
+budgets = {"topk": lp.budget_from_sparsity(0.7, *w_hat.shape), "nm24": lp.NM(2, 4)}
+out = {}
+for name, budget in budgets.items():
+    sol = lp.admm_solve(h, w_hat, budget)
+    out[name + "_support"] = sol.support
+    out[name + "_counts"] = [sol.iterations, sol.polish_rounds, sol.pcg_iters_used]
+    out[name + "_rel_error"] = sol.rel_error
+np.savez(sys.argv[3], **out)
+"""
+
+
+def test_solve_agrees_across_blas_thread_counts(tmp_path):
+    # Bits are pinned only at a fixed BLAS thread count: the threads split
+    # the products' sums differently. The supports and counts must agree.
+    rng = np.random.default_rng(3)
+    h = linalg.gram_from_activations(correlated_activations(rng, 256, 128))
+    inputs = [tmp_path / "h.npy", tmp_path / "w_hat.npy"]
+    np.save(inputs[0], h)
+    np.save(inputs[1], rng.standard_normal((128, 256)))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        child = [sys.executable, "-c", SOLVE_CHILD, *inputs, out]
+        subprocess.run(child, env=env, check=True, timeout=300)
+        runs.append(np.load(out))
+    one, two = runs
+    for name in ("topk", "nm24"):
+        assert np.array_equal(one[name + "_support"], two[name + "_support"])
+        assert np.array_equal(one[name + "_counts"], two[name + "_counts"])
+        rel_error = name + "_rel_error"
+        assert two[rel_error] == pytest.approx(one[rel_error], rel=1e-12)
 
 
 def test_budget_bound_checked():

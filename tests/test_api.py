@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,8 @@ BENCH_NAMES = [
     "NM",
     "Unstructured",
 ]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
@@ -106,3 +109,13 @@ def test_bench_trace_targets_exist():
         if not hasattr(importlib.import_module(module), name)
     }
     assert missing <= {"l0prune.linalg.ridge_solve"}
+
+
+def test_readme_python_blocks_run():
+    # Every python block of the README runs, in order and in one namespace,
+    # so the quick start and the diagnostics example cannot rot.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

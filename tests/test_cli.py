@@ -438,12 +438,30 @@ def test_degenerate_instance_exits_3(workspace, tmp_path, capsys):
     assert code == 3
 
 
-def test_negative_definite_gram_exits_2(workspace, tmp_path, capsys):
-    # A Gram that is not PSD is invalid input, not a degenerate instance.
-    paths, _, _ = workspace
+@pytest.mark.parametrize(
+    "diag", [[-1.0] * 10, [1.0, -1.0] + [1.0] * 8], ids=["all", "one"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("prune", "--k", 5, "--method", "alps"),
+        ("prune", "--k", 5, "--method", "mp"),
+        ("prune", "--k", 5, "--method", "wanda"),
+        ("eval", "--pruned"),
+        ("oracle", "--pruned"),
+    ],
+    ids=["alps", "mp", "wanda", "eval", "oracle"],
+)
+def test_negative_definite_gram_exits_2(workspace, tmp_path, capsys, command, diag):
+    # A Gram that is not PSD is invalid input, not a degenerate instance,
+    # on every path that reads one.
+    paths, w_hat, _ = workspace
     negative = tmp_path / "negative.amtx"
-    write_matrix(negative, -np.eye(10))
-    code = run("prune", "--weights", paths["weights"], "--gram", negative, "--k", 5)
+    write_matrix(negative, np.diag(diag))
+    if command[-1] == "--pruned":
+        write_matrix(paths["out"], np.where(np.abs(w_hat) > 0.5, w_hat, 0.0))
+        command += (paths["out"],)
+    code = run(*command, "--weights", paths["weights"], "--gram", negative)
     assert code == 2
     assert "not positive semidefinite" in capsys.readouterr().err
 

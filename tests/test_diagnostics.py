@@ -8,6 +8,7 @@ from l0prune import (
     InvalidInputError,
     IterRecord,
     IterTrace,
+    TheoremBound,
     Unstructured,
     admm_solve,
     check_lemma1,
@@ -134,6 +135,17 @@ def test_theorem_zero_residuals_give_zero_ratio():
     records = [record(d_change=0.0, wd_gap=0.0) for _ in range(3)]
     out = theorem1_residual_bound(IterTrace(records=records, h_spectral=0.0, g_norm=0.0))
     assert out.worst_ratio == 0.0
+
+
+def test_theorem_constant_is_zero_without_gradient():
+    # All of W_hat sits on a channel below DEAD_DIAG_RTOL, which the
+    # rescaling quarantines, so g = ||G|| is 0 while exp(3hS) overflows:
+    # C is 0, not inf * 0.
+    h = np.diag([1.0, 1e-13, 2.0])
+    w_hat = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    trace = admm_solve(h, w_hat, Unstructured(2)).trace
+    assert trace.g_norm == 0.0
+    assert theorem1_residual_bound(trace) == TheoremBound(c_hat=0.0, worst_ratio=0.0)
 
 
 def test_theorem_overflow_is_vacuously_satisfied():

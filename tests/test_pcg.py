@@ -153,9 +153,10 @@ def test_exact_warm_start_returns_immediately():
 def test_breakdown_on_vanishing_curvature():
     # An indefinite matrix drives the search-direction curvature negative
     # while the residual is still large, which must surface as breakdown
-    # rather than a silent wrong answer.
-    h = np.diag([1.0, -1.0])
-    w_hat = np.array([[0.0], [1.0]])
+    # rather than a silent wrong answer. Its diagonal is positive, so the
+    # instance check lets it through; only the spectrum shows it.
+    h = np.array([[1.0, 2.0], [2.0, 1.0]])
+    w_hat = np.array([[1.0], [-1.0]])
     support = support_of(np.ones((2, 1)))
     with pytest.raises(DegenerateInstanceError, match="curvature .* along search direction"):
         pcg_refine(h, w_hat, support, np.zeros((2, 1)))
