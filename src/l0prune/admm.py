@@ -7,8 +7,8 @@ iterate D coupled by a dual variable V, alternating
     D <- project(W + V / rho)                     onto the budget,
     V <- V + rho (W - D),
 
-on a problem rescaled to a unit Gram diagonal, which is also the Jacobi
-preconditioner of the polish's CG. The penalty rho starts small so the
+on the problem linalg.preprocess rescales to a unit live Gram diagonal
+(the polish's CG preconditioner). The penalty rho starts small so the
 support can move, and grows on a fixed step schedule driven by how much
 the support of D changed over the last CHECK_PERIOD iterations. Once the
 support stops changing the loop ends, and the polish below first solves
@@ -62,14 +62,12 @@ import numpy as np
 
 from .baselines import PruneSolution, build_solution
 from .diagnostics import IterRecord, IterTrace
-from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import check_instance, eigendecompose, gap_form
+from .errors import InvalidInputError
+from .linalg import ScaledProblem, check_instance, eigendecompose, gap_form, preprocess
 from .pcg import support_cg
 from .projections import (
     SparsityBudget, Unstructured, budget_size, project, support_change,
 )
-
-DEAD_DIAG_RTOL = 1e-12
 
 # The reference penalty schedule; rho_update runs every CHECK_PERIOD steps.
 CHECK_PERIOD = 3
@@ -106,45 +104,6 @@ def budget_from_sparsity(s: float, n_in: int, n_out: int) -> Unstructured:
     # loses no slot to float error: s=0.9 on 100 weights, or s=0.8 on a
     # 5120 x 13824 layer, where a fixed nudge is below the rounding.
     return Unstructured(math.floor((1 - Fraction(repr(float(s)))) * n_in * n_out))
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledProblem:
-    """Diagonally rescaled instance with unit Gram diagonal on live coords.
-
-    scale holds the positive diagonal E with W = E W'; gram is E H E and
-    w_hat is E^{-1} W_hat. Dead coordinates (vanishing Gram diagonal) are
-    decoupled from the Gram and their dense rows zeroed, which keeps every
-    iterate exactly zero there.
-    """
-
-    scale: np.ndarray
-    gram: np.ndarray
-    w_hat: np.ndarray
-
-
-def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
-    """Rescale arrays check_instance passed to a Gram with unit live diagonal."""
-    diag = np.diag(h)
-    max_diag = float(diag.max())
-    if max_diag <= 0.0:
-        raise DegenerateInstanceError("gram diagonal is entirely zero")
-    dead = diag <= DEAD_DIAG_RTOL * max_diag
-    scale = np.ones_like(diag)
-    live = ~dead
-    scale[live] = 1.0 / np.sqrt(diag[live])
-    gram = h * scale[:, None] * scale[None, :]
-    if dead.any():
-        # Quarantine dead coordinates: congruence with a projection keeps
-        # the matrix PSD, and zero rows pin their iterates at zero.
-        gram[dead, :] = 0.0
-        gram[:, dead] = 0.0
-    gram = (gram + gram.T) / 2.0
-    # Exactly 1 where live, so the polish's CG needs no preconditioner.
-    np.fill_diagonal(gram, live)
-    w_scaled = w_hat / scale[:, None]
-    w_scaled[dead, :] = 0.0
-    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
 
 
 @dataclass(eq=False)

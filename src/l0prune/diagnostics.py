@@ -88,7 +88,7 @@ def check_lemma1(trace: IterTrace) -> list[Violation]:
     relative to the larger side (negative slack means violated).
     """
     _require_records(trace)
-    guard = 1e-12 * max(1.0, trace.g_norm)
+    guard = 1e-12 * trace.g_norm
     violations = []
     for t, rec in enumerate(trace.records):
         if t == 0:
@@ -122,7 +122,7 @@ def check_lemma2(trace: IterTrace) -> list[Violation]:
 
     first = trace.records[0]
     a0 = first.d_norm + first.v_norm / first.rho
-    guard = 1e-12 * max(1.0, trace.g_norm, a0)
+    guard = 1e-12 * max(trace.g_norm, a0)
     log_growth = 0.0
     drift = 0.0
     violations = []

@@ -3,12 +3,14 @@
 Everything here operates on the Gram matrix H = X^T X of calibration
 activations. The objective tr((W_hat - W)^T H (W_hat - W)) is fully
 determined by H and the dense weights, so activations can be discarded
-once the Gram is accumulated.
+once the Gram is accumulated. Every rule about a Gram lives here: its
+checks, its rescaling and dead channels, and its PSD test.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from .errors import DegenerateInstanceError, InvalidInputError
 
 SYMMETRY_RTOL = 1e-9
 EIG_NEG_RTOL = 1e-8
+DEAD_DIAG_RTOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -88,6 +91,45 @@ def check_instance(h, w_hat) -> tuple[np.ndarray, np.ndarray]:
     if diag.min() < -EIG_NEG_RTOL * max(float(diag.max()), 0.0):
         raise InvalidInputError("gram is not positive semidefinite: negative diagonal")
     return h, w_hat
+
+
+@dataclass(frozen=True, eq=False)
+class ScaledProblem:
+    """Diagonally rescaled instance with unit Gram diagonal on live coords.
+
+    scale holds the positive diagonal E with W = E W'; gram is E H E and
+    w_hat is E^{-1} W_hat. Dead coordinates, whose Gram diagonal is at most
+    DEAD_DIAG_RTOL of the largest, are decoupled from the Gram and their
+    dense rows zeroed, so no iterate moves there from its start.
+    """
+
+    scale: np.ndarray
+    gram: np.ndarray
+    w_hat: np.ndarray
+
+
+def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
+    """Rescale arrays check_instance passed to a Gram with unit live diagonal."""
+    diag = np.diag(h)
+    max_diag = float(diag.max())
+    if max_diag <= 0.0:
+        raise DegenerateInstanceError("gram diagonal is entirely zero")
+    dead = diag <= DEAD_DIAG_RTOL * max_diag
+    scale = np.ones_like(diag)
+    live = ~dead
+    scale[live] = 1.0 / np.sqrt(diag[live])
+    gram = h * scale[:, None] * scale[None, :]
+    if dead.any():
+        # Quarantine dead coordinates: congruence with a projection keeps
+        # the matrix PSD, and zero rows pin their iterates where they start.
+        gram[dead, :] = 0.0
+        gram[:, dead] = 0.0
+    gram = (gram + gram.T) / 2.0
+    # Exactly 1 where live, so the CG on it needs no preconditioner.
+    np.fill_diagonal(gram, live)
+    w_scaled = w_hat / scale[:, None]
+    w_scaled[dead, :] = 0.0
+    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

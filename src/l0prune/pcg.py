@@ -5,13 +5,13 @@ by running CG on the normal equations H W = H W_hat for all output
 columns at once, re-projecting the residual onto S every iteration. A
 single step size couples the columns, which makes each iteration two
 dense matrix products instead of a per-column solve. The Jacobi
-preconditioner is applied once, as a rescaling to a unit Gram diagonal:
-the solver's own, or pcg_refine's on the Gram it is given.
+preconditioner is applied once, as linalg.preprocess's rescaling to a
+unit live Gram diagonal, the same for the solver's polish and pcg_refine.
 
 pcg_refine is the public entry: it checks its arguments once (the Gram
-and dense weights through linalg.check_instance) and hands them to
-support_cg, the kernel, which trusts its arrays. The solver calls the
-kernel directly, from its polish, on arrays it built itself.
+and dense weights through linalg.check_instance), rescales them, and
+hands them to support_cg, the kernel, which trusts its arrays. The solver
+calls the kernel directly, from its polish, on arrays it rescaled itself.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import as_matrix, check_instance
+from .linalg import as_matrix, check_instance, preprocess
 from .projections import check_support
 
-# A starting residual at or below this norm counts as converged: no step;
-# CG stops once the residual falls to REL_TOL of the starting one.
-ABS_FLOOR = 1e-14
+# A starting residual at or below START_RTOL * ||W_hat|| counts as
+# converged: no step; CG stops once it falls to REL_TOL of its start.
+START_RTOL = 1e-14
 REL_TOL = 1e-8
 
 
@@ -39,10 +39,10 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     w0 : warm start, already supported on the mask.
     max_iters : positive iteration cap.
 
-    Returns the refined weights, supported on the mask; w0 is left as it
-    was. Raises DegenerateInstanceError when curvature along a search
-    direction vanishes while the residual is still above tolerance, which
-    signals a singular restricted system.
+    Returns the refined weights, supported on the mask, with w0's rows on
+    the dead channels of linalg.preprocess; w0 is left as it was. Raises
+    DegenerateInstanceError on an all-zero Gram diagonal, and on vanishing
+    curvature with the residual above tolerance (a singular restricted system).
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
@@ -54,13 +54,11 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise InvalidInputError(f"max_iters must be a positive integer: {max_iters!r}")
 
-    # Jacobi preconditioning: CG on D^-1/2 H D^-1/2 with weights D^1/2 W,
-    # D the Gram diagonal, 1 where nonpositive so the scaling stays finite.
+    scaled = preprocess(h, w_hat)
+    scale = scaled.scale[:, None]
     # Scaling copies the warm start, which the kernel refines in place.
-    diag = np.diag(h)
-    root = np.sqrt(np.where(diag > 0.0, diag, 1.0))[:, None]
-    w = support_cg(h / root / root.T, w_hat * root, support, w0 * root, max_iters)[0]
-    w /= root
+    w = support_cg(scaled.gram, scaled.w_hat, support, w0 / scale, max_iters)[0]
+    w *= scale
     return w
 
 
@@ -82,7 +80,7 @@ def support_cg(
     r = h @ (w_hat - w)
     r *= mask
     r0_norm = float(np.linalg.norm(r))
-    if r0_norm <= ABS_FLOOR:
+    if r0_norm <= START_RTOL * np.linalg.norm(w_hat):
         return w, 0
 
     p = r.copy()

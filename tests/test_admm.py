@@ -21,6 +21,8 @@ from l0prune import (
     admm_solve,
     brute_force_support,
     budget_from_sparsity,
+    check_lemma1,
+    check_lemma2,
     layer_objective,
     pcg_refine,
 )
@@ -518,7 +520,7 @@ def test_metrics_are_measured_on_the_callers_gram():
     w_hat = rng.standard_normal((12, 4))
     w_hat[2] *= 1e5
     h = linalg.gram_from_activations(x)
-    assert np.diag(h)[2] <= admm.DEAD_DIAG_RTOL * np.diag(h).max()
+    assert np.diag(h)[2] <= linalg.DEAD_DIAG_RTOL * np.diag(h).max()
     sol = admm_solve(h, w_hat, Unstructured(20))
     assert sol.objective == pytest.approx(layer_objective(h, w_hat, sol.w), rel=1e-12)
     assert sol.rel_error == pytest.approx(linalg.relative_error(h, w_hat, sol.w), rel=1e-12)
@@ -526,6 +528,25 @@ def test_metrics_are_measured_on_the_callers_gram():
     h_without = h.copy()
     h_without[2, :] = h_without[:, 2] = 0.0
     assert sol.rel_error > linalg.relative_error(h_without, w_hat, sol.w) * 1.005
+
+
+@pytest.mark.parametrize("c", [1e-18, 1e-12, 1e12])
+def test_solve_is_invariant_to_the_weights_scale(c):
+    # Every step is linear in W_hat and every test on it relative, so
+    # scaling W_hat by c scales the solve and changes no decision. A floor
+    # on the refinement's starting residual that ignored W_hat's scale
+    # would skip the refinement at c = 1e-18, 0.14% worse in rel_error.
+    rng = np.random.default_rng(3)
+    h = linalg.gram_from_activations(correlated_activations(rng, 256, 64))
+    w_hat = rng.standard_normal((64, 32))
+    budget = budget_from_sparsity(0.7, 64, 32)
+    ref, sol = (admm_solve(h, s * w_hat, budget) for s in (1.0, c))
+    assert np.array_equal(sol.support, ref.support)
+    for name in ("iterations", "pcg_iters_used", "polish_rounds"):
+        assert getattr(sol, name) == getattr(ref, name), name
+    for check in (check_lemma1, check_lemma2):
+        assert len(check(sol.trace)) == len(check(ref.trace))
+    assert sol.rel_error == pytest.approx(ref.rel_error, rel=1e-9)
 
 
 def test_solve_is_deterministic():

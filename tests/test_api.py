@@ -56,10 +56,13 @@ BENCH_NAMES = [
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# The rescaling is defined in l0prune.linalg; l0prune.admm imports it, and
+# bench/tracer.py times the solver's call there as admm.preprocess.
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
-    "l0prune.linalg": ["check_instance", "eigendecompose", "validate_gram"],
+    "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance",
+                       "eigendecompose", "preprocess", "validate_gram"],
     "l0prune.matrixio": ["read_row_blocks"],
     "l0prune.projections": ["project", "support_change"],
 }

@@ -30,6 +30,13 @@ def record(rho=1.0, d_norm=1.0, v_norm=0.0, grad_gap=1.0, hv_norm=1.0,
     )
 
 
+def scaled(records, s):
+    # Scaling W_hat by s scales every recorded norm, and g_norm, by s; rho
+    # and the Gram's spectral norm stay.
+    fields = ("d_norm", "v_norm", "grad_gap", "hv_norm", "v_next_norm", "d_change", "wd_gap")
+    return [replace(r, **{f: getattr(r, f) * s for f in fields}) for r in records]
+
+
 def solver_trace(seed, n_in=8, n_out=4, k=10):
     rng = np.random.default_rng(seed)
     h, w_hat = random_problem(rng, n_in, n_out)
@@ -44,18 +51,20 @@ def test_lemma1_clean_on_solver_traces(seed):
     assert check_lemma1(solver_trace(seed)) == []
 
 
-def test_lemma1_catches_inflated_dual():
+@pytest.mark.parametrize("s", [1.0, 1e-15])
+def test_lemma1_catches_inflated_dual(s):
     records = [record() for _ in range(5)]
     records[3] = replace(records[3], v_next_norm=records[3].v_next_norm * 4)
-    out = check_lemma1(IterTrace(records=records, h_spectral=1.0, g_norm=1.0))
+    out = check_lemma1(IterTrace(records=scaled(records, s), h_spectral=1.0, g_norm=s))
     assert [(v.iteration, v.inequality) for v in out] == [(3, "dual_growth")]
     assert out[0].slack < 0
 
 
-def test_lemma1_catches_runaway_iterate_change():
+@pytest.mark.parametrize("s", [1.0, 1e-15])
+def test_lemma1_catches_runaway_iterate_change(s):
     records = [record() for _ in range(4)]
     records[2] = replace(records[2], d_change=10.0)
-    out = check_lemma1(IterTrace(records=records, h_spectral=1.0, g_norm=1.0))
+    out = check_lemma1(IterTrace(records=scaled(records, s), h_spectral=1.0, g_norm=s))
     assert [(v.iteration, v.inequality) for v in out] == [(2, "iterate_change")]
 
 
@@ -86,10 +95,11 @@ def test_lemma2_start_is_tight():
     assert check_lemma2(IterTrace(records=records, h_spectral=0.0, g_norm=0.0)) == []
 
 
-def test_lemma2_flags_norm_growth_beyond_bound():
+@pytest.mark.parametrize("s", [1.0, 1e-15])
+def test_lemma2_flags_norm_growth_beyond_bound(s):
     records = [record(d_norm=1.0) for _ in range(4)]
     records[2] = replace(records[2], d_norm=2.0)
-    out = check_lemma2(IterTrace(records=records, h_spectral=0.0, g_norm=0.0))
+    out = check_lemma2(IterTrace(records=scaled(records, s), h_spectral=0.0, g_norm=0.0))
     assert [(v.iteration, v.inequality) for v in out] == [(2, "norm_product")]
 
 

@@ -11,6 +11,7 @@ from l0prune import (
     pcg_refine,
     support_of,
 )
+from l0prune.linalg import DEAD_DIAG_RTOL
 from l0prune.pcg import REL_TOL, support_cg
 
 from conftest import random_problem
@@ -112,6 +113,42 @@ def test_refine_is_invariant_under_diagonal_rescaling():
         )
         expected = out / e[:, None]
         assert np.linalg.norm(out_e - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_refine_is_invariant_to_the_weights_scale():
+    # Scaling W_hat and the warm start by c scales the refinement by c. A
+    # floor on the starting residual that ignored W_hat's scale would
+    # return the warm start at c = 1e-18, 25% off.
+    rng = np.random.default_rng(9)
+    h, w_hat = random_problem(rng, 24, 6)
+    support = mp_support(w_hat, 72)
+    w0 = np.where(support, w_hat, 0.0)
+    c = 1e-18
+    expected = c * pcg_refine(h, w_hat, support, w0)
+    out = pcg_refine(h, c * w_hat, support, c * w0)
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_refine_leaves_dead_channels_at_the_warm_start():
+    # The refinement runs on the solver's rescaling, which sets aside a
+    # channel whose Gram diagonal is at most DEAD_DIAG_RTOL of the largest.
+    h, w_hat = random_problem(np.random.default_rng(10), 8, 3)
+    # A congruence keeps h PSD and puts channel 3 at 1e-13 of the largest.
+    e = np.ones(8)
+    e[3] = np.sqrt(1e-13 * np.diag(h).max() / h[3, 3])
+    h = h * e[:, None] * e[None, :]
+    assert np.diag(h)[3] <= DEAD_DIAG_RTOL * np.diag(h).max()
+    support = support_of(np.ones_like(w_hat))
+    w0 = w_hat + 0.5
+    out = pcg_refine(h, w_hat, support, w0)
+    np.testing.assert_array_equal(out[3], w0[3])
+    assert not np.array_equal(out, w0)
+
+
+def test_refine_rejects_an_all_zero_gram():
+    w_hat = np.ones((3, 2))
+    with pytest.raises(DegenerateInstanceError, match="entirely zero"):
+        pcg_refine(np.zeros((3, 3)), w_hat, support_of(w_hat), np.zeros((3, 2)))
 
 
 def test_refine_leaves_the_warm_start_unchanged():
