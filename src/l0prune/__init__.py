@@ -6,8 +6,8 @@ tr((W_hat - W)^T H (W_hat - W)) subject to a global or n:m sparsity
 budget on W, and verify their own convergence behavior from recorded
 iteration traces.
 
-The names exported here are the user-facing API; solver internals (ADMM
-state and step, rescaling, eigendecomposition, projections) live in submodules.
+Exported: what users call, construct (AdmmConfig, NM, Unstructured) or catch,
+and PruneSolution; a type only read off a result stays in its submodule.
 """
 
 from .admm import AdmmConfig, admm_solve, budget_from_sparsity
@@ -19,10 +19,6 @@ from .baselines import (
     magnitude_prune,
 )
 from .diagnostics import (
-    IterRecord,
-    IterTrace,
-    TheoremBound,
-    Violation,
     check_lemma1,
     check_lemma2,
     theorem1_residual_bound,
@@ -36,22 +32,17 @@ from .errors import (
 from .linalg import gram_from_activations, layer_objective, relative_error
 from .matrixio import read_matrix, write_matrix
 from .pcg import pcg_refine
-from .projections import NM, SparsityBudget, Unstructured, support_of
+from .projections import NM, Unstructured, support_of
 
 __all__ = [
     "AdmmConfig",
     "DegenerateInstanceError",
     "DegenerateSupportError",
     "InvalidInputError",
-    "IterRecord",
-    "IterTrace",
     "NM",
     "PruneError",
     "PruneSolution",
-    "SparsityBudget",
-    "TheoremBound",
     "Unstructured",
-    "Violation",
     "activation_weighted_prune",
     "admm_solve",
     "backsolve_exact",

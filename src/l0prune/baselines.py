@@ -111,6 +111,9 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
             f"instance has {size} weights; enumeration is capped at {BRUTE_FORCE_LIMIT}"
         )
     check_budget(Unstructured(k), w_hat.shape)
+    # The energy is the objective of W = 0, so it bounds every candidate's
+    # optimum: if it is a normal float64, no candidate objective overflows.
+    output_energy(h, w_hat)
 
     g = h @ w_hat
     best_w = None

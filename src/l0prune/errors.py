@@ -15,7 +15,8 @@ class InvalidInputError(PruneError):
 
 
 class DegenerateInstanceError(PruneError):
-    """No usable signal (e.g. an all-zero Gram diagonal), or a singular system."""
+    """No usable signal (e.g. an all-zero Gram diagonal), an instance beyond
+    float64's range, or a singular system."""
 
 
 class DegenerateSupportError(DegenerateInstanceError):

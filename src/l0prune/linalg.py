@@ -19,6 +19,8 @@ from .errors import DegenerateInstanceError, InvalidInputError
 SYMMETRY_RTOL = 1e-9
 EIG_NEG_RTOL = 1e-8
 DEAD_DIAG_RTOL = 1e-12
+# The smallest normal float64: below it a square or an energy has lost bits.
+TINY = np.finfo(np.float64).tiny
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -109,7 +111,12 @@ class ScaledProblem:
 
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
-    """Rescale arrays check_instance passed to a Gram with unit live diagonal."""
+    """Rescale arrays check_instance passed to a Gram with unit live diagonal.
+
+    Raises DegenerateInstanceError on an all-zero Gram diagonal, and when
+    the rescaled weights' squared norm is infinite, or below TINY while a
+    live row is nonzero.
+    """
     diag = np.diag(h)
     max_diag = float(diag.max())
     if max_diag <= 0.0:
@@ -129,6 +136,18 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     np.fill_diagonal(gram, live)
     w_scaled = w_hat / scale[:, None]
     w_scaled[dead, :] = 0.0
+    # Every iterate and norm of a solve is on w_scaled's scale: an infinite
+    # squared norm makes them NaN, a subnormal one rounds bits away. Zero on
+    # every live row is a defined instance. vdot emits no overflow warning.
+    squared = float(np.vdot(w_scaled, w_scaled))
+    if squared == np.inf:
+        raise DegenerateInstanceError(
+            "squared norm of the rescaled dense weights overflows float64"
+        )
+    if squared < TINY and w_scaled.any():
+        raise DegenerateInstanceError(
+            f"squared norm of the rescaled dense weights underflows float64: {squared:.3e}"
+        )
     return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
 
 
@@ -184,8 +203,17 @@ def relative_error(h, w_hat, w) -> float:
 
 
 def output_energy(h: np.ndarray, w_hat: np.ndarray) -> float:
-    """tr(W_hat^T H W_hat) for arrays the caller has already checked."""
+    """tr(W_hat^T H W_hat) for arrays the caller has already checked.
+
+    Raises DegenerateInstanceError unless it is a positive normal float64:
+    beyond float64's range it overflows to inf or NaN, or loses its bits
+    to underflow, and a relative error over it would be meaningless.
+    """
     energy = float(np.vdot(w_hat, h @ w_hat))
     if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
+    if not TINY <= energy < np.inf:
+        raise DegenerateInstanceError(
+            f"output energy of the dense weights, {energy:.3e}, is not a normal float64"
+        )
     return energy

@@ -41,8 +41,9 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
 
     Returns the refined weights, supported on the mask, with w0's rows on
     the dead channels of linalg.preprocess; w0 is left as it was. Raises
-    DegenerateInstanceError on an all-zero Gram diagonal, and on vanishing
-    curvature with the residual above tolerance (a singular restricted system).
+    DegenerateInstanceError where preprocess does (an all-zero Gram
+    diagonal, weights beyond float64's range), and on vanishing curvature
+    with the residual above tolerance (a singular restricted system).
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)

@@ -4,6 +4,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from l0prune import (
@@ -12,6 +13,7 @@ from l0prune import (
     admm_solve,
     backsolve_exact,
     brute_force_support,
+    gram_from_activations,
     layer_objective,
     magnitude_prune,
     pcg_refine,
@@ -35,6 +37,24 @@ def random_problem(rng, n_in, n_out, nl=None, cond=100.0):
     x = correlated_activations(rng, nl, n_in, cond)
     h = x.T @ x
     return (h + h.T) / 2.0, rng.standard_normal((n_in, n_out))
+
+
+def scale_instance():
+    """The (gram, dense weights) pair of the scale tests: 64 inputs, 32 outputs."""
+    rng = np.random.default_rng(3)
+    h = gram_from_activations(correlated_activations(rng, 256, 64))
+    return h, rng.standard_normal((64, 32))
+
+
+# Weights scaled by c, or the Gram by g, past float64's range: the squares
+# overflow (c = 1e154, g = 1e305) or fall below the smallest normal float64
+# (c = 1e-160, and c = 1e-200, where they vanish although W_hat is nonzero).
+BEYOND_FLOAT64 = [
+    pytest.param(1e154, 1.0, "overflows", id="weights-1e154"),
+    pytest.param(1e-160, 1.0, "underflows", id="weights-1e-160"),
+    pytest.param(1e-200, 1.0, "underflows", id="weights-1e-200"),
+    pytest.param(1.0, 1e305, "overflows", id="gram-1e305"),
+]
 
 
 def random_psd(rng, n, rank=None):

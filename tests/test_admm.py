@@ -42,7 +42,8 @@ from l0prune.linalg import eigendecompose
 from l0prune.projections import budget_mask, budget_size, project, support_change
 
 from conftest import (
-    GRAM_ENTRIES, correlated_activations, count_calls, random_problem, random_psd,
+    BEYOND_FLOAT64, GRAM_ENTRIES, correlated_activations, count_calls, random_problem,
+    random_psd, scale_instance,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -530,15 +531,13 @@ def test_metrics_are_measured_on_the_callers_gram():
     assert sol.rel_error > linalg.relative_error(h_without, w_hat, sol.w) * 1.005
 
 
-@pytest.mark.parametrize("c", [1e-18, 1e-12, 1e12])
+@pytest.mark.parametrize("c", [1e-150, 1e-18, 1e-12, 1e12, 1e150])
 def test_solve_is_invariant_to_the_weights_scale(c):
     # Every step is linear in W_hat and every test on it relative, so
     # scaling W_hat by c scales the solve and changes no decision. A floor
     # on the refinement's starting residual that ignored W_hat's scale
     # would skip the refinement at c = 1e-18, 0.14% worse in rel_error.
-    rng = np.random.default_rng(3)
-    h = linalg.gram_from_activations(correlated_activations(rng, 256, 64))
-    w_hat = rng.standard_normal((64, 32))
+    h, w_hat = scale_instance()
     budget = budget_from_sparsity(0.7, 64, 32)
     ref, sol = (admm_solve(h, s * w_hat, budget) for s in (1.0, c))
     assert np.array_equal(sol.support, ref.support)
@@ -547,6 +546,16 @@ def test_solve_is_invariant_to_the_weights_scale(c):
     for check in (check_lemma1, check_lemma2):
         assert len(check(sol.trace)) == len(check(ref.trace))
     assert sol.rel_error == pytest.approx(ref.rel_error, rel=1e-9)
+
+
+@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
+def test_solve_rejects_an_instance_beyond_float64(c, g, message):
+    # Here the weights' squares leave float64's normal range; the solve
+    # returned NaN after overflow warnings, or a result off in its sixth
+    # digit, or blamed zero output energy on nonzero weights.
+    h, w_hat = scale_instance()
+    with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
+        admm_solve(g * h, c * w_hat, budget_from_sparsity(0.7, 64, 32))
 
 
 def test_solve_is_deterministic():

@@ -16,15 +16,10 @@ PUBLIC_API = [
     "DegenerateInstanceError",
     "DegenerateSupportError",
     "InvalidInputError",
-    "IterRecord",
-    "IterTrace",
     "NM",
     "PruneError",
     "PruneSolution",
-    "SparsityBudget",
-    "TheoremBound",
     "Unstructured",
-    "Violation",
     "activation_weighted_prune",
     "admm_solve",
     "backsolve_exact",
@@ -61,10 +56,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
+    "l0prune.diagnostics": ["IterRecord", "IterTrace", "TheoremBound", "Violation"],
     "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance",
                        "eigendecompose", "preprocess", "validate_gram"],
     "l0prune.matrixio": ["read_row_blocks"],
-    "l0prune.projections": ["project", "support_change"],
+    "l0prune.projections": ["SparsityBudget", "project", "support_change"],
 }
 
 
@@ -122,3 +118,15 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_lists_the_public_api():
+    # The README's list of the namespace's exports names exactly __all__:
+    # the bare identifiers in backticks, from the line after its heading
+    # sentence to the blank line that ends the list.
+    text = README.read_text()
+    start = text.index("The top-level `l0prune` namespace exports")
+    listing = text[text.index("\n\n", start) + 2:]
+    listing = listing[:listing.index("\n\n")]
+    assert listing.startswith("- ")
+    assert set(re.findall(r"`([A-Za-z_]\w*)`", listing)) == set(l0prune.__all__)

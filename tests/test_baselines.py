@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from l0prune import (
     NM,
+    DegenerateInstanceError,
     DegenerateSupportError,
     InvalidInputError,
     Unstructured,
@@ -20,7 +21,7 @@ from l0prune import (
 from l0prune import linalg
 from l0prune.projections import project
 
-from conftest import count_calls, random_problem
+from conftest import count_calls, random_problem, scale_instance
 
 
 # --- backsolve_exact ---
@@ -251,6 +252,22 @@ def test_activation_weighted_matches_score_oracle():
     sol = activation_weighted_prune(w_hat, h, Unstructured(k))
     got = set(map(tuple, np.argwhere(sol.support)))
     assert got == expected
+
+
+@pytest.mark.parametrize("c, g", [(1e154, 1.0), (1.0, 1e305)])
+def test_activation_weighted_rejects_an_energy_beyond_float64(c, g):
+    # Its rel_error divided by an energy that overflowed: NaN, silently.
+    h, w_hat = scale_instance()
+    with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
+        activation_weighted_prune(c * w_hat, g * h, Unstructured(614))
+
+
+def test_brute_force_rejects_an_energy_beyond_float64():
+    # Every candidate's objective overflowed, so none was kept and the
+    # search blamed singular supports.
+    h, w_hat = random_problem(np.random.default_rng(3), 4, 4)
+    with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
+        brute_force_support(h, 1e154 * w_hat, 6)
 
 
 def test_solutions_respect_budget_and_recompute():

@@ -6,15 +6,13 @@ import pytest
 
 from l0prune import (
     InvalidInputError,
-    IterRecord,
-    IterTrace,
-    TheoremBound,
     Unstructured,
     admm_solve,
     check_lemma1,
     check_lemma2,
     theorem1_residual_bound,
 )
+from l0prune.diagnostics import IterRecord, IterTrace, TheoremBound
 
 from conftest import random_problem
 

@@ -16,7 +16,7 @@ from l0prune import (
 from l0prune.admm import ScaledProblem, admm_step, initial_state
 from l0prune.linalg import as_matrix, check_instance, eigendecompose, validate_gram
 
-from conftest import random_psd
+from conftest import random_psd, scale_instance
 
 
 def test_as_matrix_rejects_nan():
@@ -273,6 +273,16 @@ def test_relative_error_column_permutation_invariant(seed):
 def test_relative_error_degenerate_denominator():
     with pytest.raises(DegenerateInstanceError):
         relative_error(np.zeros((2, 2)), np.ones((2, 1)), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("c, g", [(1e154, 1.0), (1.0, 1e305)])
+def test_relative_error_rejects_an_energy_beyond_float64(c, g):
+    # The energy overflows to inf, or to NaN across mixed signs; the ratio
+    # over it was NaN, without a warning.
+    h, w_hat = scale_instance()
+    w = np.where(np.abs(w_hat) > 1.0, c * w_hat, 0.0)
+    with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
+        relative_error(g * h, c * w_hat, w)
 
 
 def test_relative_error_uses_the_checked_arrays():

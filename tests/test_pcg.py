@@ -14,7 +14,7 @@ from l0prune import (
 from l0prune.linalg import DEAD_DIAG_RTOL
 from l0prune.pcg import REL_TOL, support_cg
 
-from conftest import random_problem
+from conftest import BEYOND_FLOAT64, random_problem, scale_instance
 
 
 def mp_support(w_hat, k):
@@ -127,6 +127,17 @@ def test_refine_is_invariant_to_the_weights_scale():
     expected = c * pcg_refine(h, w_hat, support, w0)
     out = pcg_refine(h, c * w_hat, support, c * w0)
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
+def test_refine_rejects_an_instance_beyond_float64(c, g, message):
+    # The refinement shares the solver's rescaling and so its range check;
+    # it warned on overflow and returned weights 37% off, or drifted.
+    h, w_hat = scale_instance()
+    support = mp_support(w_hat, 614)
+    w0 = np.where(support, c * w_hat, 0.0)
+    with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
+        pcg_refine(g * h, c * w_hat, support, w0)
 
 
 def test_refine_leaves_dead_channels_at_the_warm_start():
