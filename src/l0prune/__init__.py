@@ -18,11 +18,6 @@ from .baselines import (
     brute_force_support,
     magnitude_prune,
 )
-from .diagnostics import (
-    check_lemma1,
-    check_lemma2,
-    theorem1_residual_bound,
-)
 from .errors import (
     DegenerateInstanceError,
     DegenerateSupportError,
@@ -48,8 +43,6 @@ __all__ = [
     "backsolve_exact",
     "brute_force_support",
     "budget_from_sparsity",
-    "check_lemma1",
-    "check_lemma2",
     "gram_from_activations",
     "layer_objective",
     "magnitude_prune",
@@ -57,7 +50,6 @@ __all__ = [
     "read_matrix",
     "relative_error",
     "support_of",
-    "theorem1_residual_bound",
     "write_matrix",
 ]
 

@@ -61,8 +61,10 @@ from fractions import Fraction
 import numpy as np
 
 from .baselines import PruneSolution, build_solution
-from .diagnostics import IterRecord, IterTrace
-from .errors import InvalidInputError
+from .diagnostics import (
+    IterRecord, IterTrace, check_lemma1, check_lemma2, theorem1_residual_bound,
+)
+from .errors import DegenerateInstanceError, InvalidInputError
 from .linalg import ScaledProblem, check_instance, eigendecompose, gap_form, preprocess
 from .pcg import support_cg
 from .projections import (
@@ -257,9 +259,12 @@ def admm_solve(
     hit, reported via the stabilized flag), then polishes: refines the
     weights on the frozen support with conjugate gradient and runs
     monotone hard-thresholding rounds. Last it undoes the scaling. The
-    returned solution carries a per-iteration trace for the convergence
-    diagnostics, the polish rounds accepted, and in pcg_iters_used every
-    refinement iteration the solve ran, polish rounds included.
+    returned solution carries a per-iteration trace, the verdicts of the
+    three convergence checks of l0prune.diagnostics on it, the polish
+    rounds accepted, and in pcg_iters_used every refinement iteration the
+    solve ran, polish rounds included. Raises DegenerateInstanceError
+    where preprocess does, when ||H W_hat|| overflows on the rescaled
+    problem, and when W_hat is nonzero only on dead channels.
     """
     # The only input checks; the rest trusts them.
     h, w_hat = check_instance(h, w_hat)
@@ -268,8 +273,16 @@ def admm_solve(
     # Only the state holds Q, so deleting the state frees it.
     state = initial_state(scaled)
     spectral_norm = float(state.lam[-1])
-    trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=_frob(state.qtg))
+    # ||G|| can overflow where W_hat's own norm does not; vdot does not warn.
+    g_squared = float(np.vdot(state.qtg, state.qtg))
+    if not math.isfinite(g_squared):
+        raise DegenerateInstanceError("squared norm of the rescaled H W_hat overflows float64")
+    trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=math.sqrt(g_squared))
     pre = _norms(state)
+    # ||D|| starts as the rescaled W_hat's norm, zero here only if the
+    # rescaling zeroed every row: then the signal sits on dead channels.
+    if pre[0] == 0.0 and w_hat.any():
+        raise DegenerateInstanceError("the dense weights are nonzero only on dead channels")
     rho, support = cfg.rho0, scaled.w_hat != 0.0
     stabilized = False
     for t in range(1, cfg.max_iters + 1):
@@ -313,4 +326,7 @@ def admm_solve(
         pcg_iters_used=pcg_iters,
         polish_rounds=polish_rounds,
         trace=trace,
+        lemma1_violations=check_lemma1(trace),
+        lemma2_violations=check_lemma2(trace),
+        theorem1_bound=theorem1_residual_bound(trace),
     )

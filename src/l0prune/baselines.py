@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .diagnostics import IterTrace
+from .diagnostics import IterTrace, TheoremBound, Violation
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
 from .linalg import as_matrix, check_instance, gap_form, output_energy
 from .projections import (
@@ -35,7 +35,8 @@ class PruneSolution:
     """A pruned weight matrix with its quality metrics.
 
     objective and rel_error are evaluated against the Gram matrix when
-    one is available; methods that never see a Gram leave them None.
+    one is available; methods that never see a Gram leave them None. The
+    last three fields hold the diagnostics checkers' results on the trace.
     """
 
     w: np.ndarray
@@ -49,6 +50,9 @@ class PruneSolution:
     pcg_iters_used: int = 0
     polish_rounds: int = 0
     trace: IterTrace | None = field(default=None, repr=False)
+    lemma1_violations: list[Violation] | None = None
+    lemma2_violations: list[Violation] | None = None
+    theorem1_bound: TheoremBound | None = None
 
 
 def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:

@@ -27,7 +27,6 @@ from .baselines import (
     build_solution,
     magnitude_prune,
 )
-from .diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
 from .errors import DegenerateInstanceError, InvalidInputError, PruneError
 from .linalg import gram_from_activations, relative_error
 from .matrixio import read_matrix, read_row_blocks, write_matrix
@@ -73,12 +72,7 @@ def _report_for(
     runtime_ms: float,
 ) -> dict:
     """One run's JSON report; the file lists its keys in this order."""
-    lemma1 = lemma2 = None
-    ratio = None
-    if solution.trace is not None:
-        lemma1 = len(check_lemma1(solution.trace))
-        lemma2 = len(check_lemma2(solution.trace))
-        ratio = theorem1_residual_bound(solution.trace).worst_ratio
+    checked = solution.theorem1_bound is not None
     return {
         "method": method,
         "budget": _budget_block(budget, solution.w.shape),
@@ -91,9 +85,9 @@ def _report_for(
         "support_size": int(np.count_nonzero(solution.support)),
         "pcg_iters_used": solution.pcg_iters_used,
         "polish_rounds": solution.polish_rounds,
-        "lemma1_violations": lemma1,
-        "lemma2_violations": lemma2,
-        "theorem1_ratio": ratio,
+        "lemma1_violations": len(solution.lemma1_violations) if checked else None,
+        "lemma2_violations": len(solution.lemma2_violations) if checked else None,
+        "theorem1_ratio": solution.theorem1_bound.worst_ratio if checked else None,
         "runtime_ms": runtime_ms,
     }
 

@@ -5,7 +5,8 @@ replay two analytic inequalities that every run must satisfy (a growth
 bound on the dual variable and a compounding bound on the iterate norms)
 plus a residual decay bound of the form max-residual <= C / rho_t. They
 operate purely on the recorded trace, so they can run long after the
-solve without the matrices.
+solve without the matrices. admm_solve runs all three once on its own
+trace and stores their results on the solution it returns.
 """
 
 from __future__ import annotations

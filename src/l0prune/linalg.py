@@ -134,7 +134,9 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     gram = (gram + gram.T) / 2.0
     # Exactly 1 where live, so the CG on it needs no preconditioner.
     np.fill_diagonal(gram, live)
-    w_scaled = w_hat / scale[:, None]
+    # An overflow to inf here is caught by the squared-norm test below.
+    with np.errstate(over="ignore"):
+        w_scaled = w_hat / scale[:, None]
     w_scaled[dead, :] = 0.0
     # Every iterate and norm of a solve is on w_scaled's scale: an infinite
     # squared norm makes them NaN, a subnormal one rounds bits away. Zero on
@@ -170,7 +172,11 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def layer_objective(h, w_hat, w) -> float:
-    """Reconstruction gap tr((W_hat - W)^T H (W_hat - W)), clamped at zero."""
+    """Reconstruction gap tr((W_hat - W)^T H (W_hat - W)), clamped at zero.
+
+    Raises DegenerateInstanceError when the gap is beyond float64's range:
+    not finite, or below TINY in magnitude while H (W_hat - W) is nonzero.
+    """
     return _checked_objective(h, w_hat, w)[0]
 
 
@@ -180,8 +186,13 @@ def _checked_objective(h, w_hat, w) -> tuple[float, np.ndarray, np.ndarray]:
     w = as_matrix(w, "weights")
     if w.shape != w_hat.shape:
         raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
+    h_delta, form = gap_form(h, w_hat, w)
+    # A tiny form is an underflow only if H (W_hat - W) is nonzero, which
+    # W = W_hat, or a difference on zero-Gram channels, leaves exactly zero.
+    if not np.isfinite(form) or (abs(form) < TINY and h_delta.any()):
+        raise DegenerateInstanceError(f"reconstruction gap, {form:.3e}, is not a normal float64")
     # The quadratic form can go mildly negative from rounding on PSD input.
-    return max(gap_form(h, w_hat, w)[1], 0.0), h, w_hat
+    return max(form, 0.0), h, w_hat
 
 
 def gap_form(h, w_hat, w) -> tuple[np.ndarray, float]:
@@ -209,7 +220,10 @@ def output_energy(h: np.ndarray, w_hat: np.ndarray) -> float:
     beyond float64's range it overflows to inf or NaN, or loses its bits
     to underflow, and a relative error over it would be meaningless.
     """
-    energy = float(np.vdot(w_hat, h @ w_hat))
+    h_w = h @ w_hat
+    energy = float(np.vdot(w_hat, h_w))
+    if energy == 0.0 and h_w.any():
+        raise DegenerateInstanceError("output energy of the dense weights underflows float64")
     if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
     if not TINY <= energy < np.inf:

@@ -49,11 +49,14 @@ def scale_instance():
 # Weights scaled by c, or the Gram by g, past float64's range: the squares
 # overflow (c = 1e154, g = 1e305) or fall below the smallest normal float64
 # (c = 1e-160, and c = 1e-200, where they vanish although W_hat is nonzero).
+# With both scaled (c = 1e160, g = 1e300) the rescaling's division itself
+# overflows, and no warning may escape before the defined error.
 BEYOND_FLOAT64 = [
     pytest.param(1e154, 1.0, "overflows", id="weights-1e154"),
     pytest.param(1e-160, 1.0, "underflows", id="weights-1e-160"),
     pytest.param(1e-200, 1.0, "underflows", id="weights-1e-200"),
     pytest.param(1.0, 1e305, "overflows", id="gram-1e305"),
+    pytest.param(1e160, 1e300, "overflows", id="weights-1e160-gram-1e300"),
 ]
 
 

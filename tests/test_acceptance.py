@@ -17,6 +17,7 @@ import pytest
 import l0prune as lp
 from l0prune.admm import preprocess
 from l0prune.cli import main as cli_main
+from l0prune.diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
 from l0prune.projections import project
 
 from conftest import correlated_activations, random_problem
@@ -209,9 +210,9 @@ def test_5_theory_suite(
     gap_failed = 0
     for run in all_runs:
         trace = run["trace"]
-        lemma1 += len(lp.check_lemma1(trace))
-        lemma2 += len(lp.check_lemma2(trace))
-        bound = lp.theorem1_residual_bound(trace)
+        lemma1 += len(check_lemma1(trace))
+        lemma2 += len(check_lemma2(trace))
+        bound = theorem1_residual_bound(trace)
         worst_ratio = max(worst_ratio, bound.worst_ratio)
         if run["stabilized"] and run["rho_final"] >= 1000.0 * run["rho0"]:
             gap_checked += 1

@@ -1,11 +1,12 @@
 import gc
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,6 @@ from l0prune import (
     admm_solve,
     brute_force_support,
     budget_from_sparsity,
-    check_lemma1,
-    check_lemma2,
     layer_objective,
     pcg_refine,
 )
@@ -38,6 +37,7 @@ from l0prune.admm import (
     preprocess,
     rho_update,
 )
+from l0prune.diagnostics import check_lemma1, check_lemma2
 from l0prune.linalg import eigendecompose
 from l0prune.projections import budget_mask, budget_size, project, support_change
 
@@ -511,6 +511,18 @@ def test_dead_channels_never_enter_the_support():
     assert np.count_nonzero(sol.support) == 8
 
 
+def test_weights_only_on_dead_channels_are_rejected():
+    # The rescaling zeroes channel 1, at 1e-13 of the largest diagonal, so
+    # the solve returned W = 0 at rel_error 1.0, where both baselines keep
+    # every weight at rel_error 0.0; the refinement still keeps the warm start.
+    h = np.diag([1.0, 1e-13, 2.0])
+    w_hat = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(DegenerateInstanceError, match="only on dead channels"):
+        admm_solve(h, w_hat, Unstructured(2))
+    assert activation_weighted_prune(w_hat, h, Unstructured(2)).rel_error == 0.0
+    assert np.array_equal(pcg_refine(h, w_hat, w_hat != 0.0, w_hat), w_hat)
+
+
 def test_metrics_are_measured_on_the_callers_gram():
     # Channel 2's diagonal is 7e-13 of the largest, under DEAD_DIAG_RTOL, so
     # the solve sets it aside; its tiny activations still carry output energy
@@ -531,15 +543,18 @@ def test_metrics_are_measured_on_the_callers_gram():
     assert sol.rel_error > linalg.relative_error(h_without, w_hat, sol.w) * 1.005
 
 
-@pytest.mark.parametrize("c", [1e-150, 1e-18, 1e-12, 1e12, 1e150])
+@pytest.mark.parametrize("c", [1e-150, 1e-18, 1e-12, 1e12, 1e150, 2.5e151])
 def test_solve_is_invariant_to_the_weights_scale(c):
     # Every step is linear in W_hat and every test on it relative, so
     # scaling W_hat by c scales the solve and changes no decision. A floor
     # on the refinement's starting residual that ignored W_hat's scale
     # would skip the refinement at c = 1e-18, 0.14% worse in rel_error.
+    # At 2.5e151, just below where ||G|| overflows, every norm stays finite.
     h, w_hat = scale_instance()
     budget = budget_from_sparsity(0.7, 64, 32)
     ref, sol = (admm_solve(h, s * w_hat, budget) for s in (1.0, c))
+    norms = [sol.trace.g_norm, *(x for rec in sol.trace.records for x in astuple(rec))]
+    assert all(math.isfinite(x) for x in norms if x is not None)
     assert np.array_equal(sol.support, ref.support)
     for name in ("iterations", "pcg_iters_used", "polish_rounds"):
         assert getattr(sol, name) == getattr(ref, name), name
@@ -548,11 +563,15 @@ def test_solve_is_invariant_to_the_weights_scale(c):
     assert sol.rel_error == pytest.approx(ref.rel_error, rel=1e-9)
 
 
-@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
+@pytest.mark.parametrize(
+    "c, g, message",
+    BEYOND_FLOAT64 + [pytest.param(3e151, 1.0, "overflows", id="gradient-3e151")],
+)
 def test_solve_rejects_an_instance_beyond_float64(c, g, message):
     # Here the weights' squares leave float64's normal range; the solve
     # returned NaN after overflow warnings, or a result off in its sixth
-    # digit, or blamed zero output energy on nonzero weights.
+    # digit, or blamed zero output energy on nonzero weights. At 3e151 only
+    # ||G|| = ||H W_hat|| overflowed: the solve warned, and its trace read inf.
     h, w_hat = scale_instance()
     with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
         admm_solve(g * h, c * w_hat, budget_from_sparsity(0.7, 64, 32))

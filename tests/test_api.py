@@ -25,8 +25,6 @@ PUBLIC_API = [
     "backsolve_exact",
     "brute_force_support",
     "budget_from_sparsity",
-    "check_lemma1",
-    "check_lemma2",
     "gram_from_activations",
     "layer_objective",
     "magnitude_prune",
@@ -34,7 +32,6 @@ PUBLIC_API = [
     "read_matrix",
     "relative_error",
     "support_of",
-    "theorem1_residual_bound",
     "write_matrix",
 ]
 
@@ -56,7 +53,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
                      "preprocess", "rho_update"],
-    "l0prune.diagnostics": ["IterRecord", "IterTrace", "TheoremBound", "Violation"],
+    "l0prune.diagnostics": ["IterRecord", "IterTrace", "TheoremBound", "Violation",
+                            "check_lemma1", "check_lemma2", "theorem1_residual_bound"],
     "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance",
                        "eigendecompose", "preprocess", "validate_gram"],
     "l0prune.matrixio": ["read_row_blocks"],

@@ -268,6 +268,9 @@ def test_brute_force_rejects_an_energy_beyond_float64():
     h, w_hat = random_problem(np.random.default_rng(3), 4, 4)
     with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
         brute_force_support(h, 1e154 * w_hat, 6)
+    # At 1e-200 the energy underflows to 0.0; the error blamed the weights.
+    with pytest.raises(DegenerateInstanceError, match="energy of the dense weights underflows"):
+        brute_force_support(h, 1e-200 * w_hat, 6)
 
 
 def test_solutions_respect_budget_and_recompute():
@@ -284,3 +287,6 @@ def test_solutions_respect_budget_and_recompute():
                                      w_hat[: sol.w.shape[0], : sol.w.shape[1]],
                                      sol.w)
         assert sol.objective == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
+        # No trace, so no convergence verdicts.
+        assert sol.trace is sol.lemma1_violations is sol.lemma2_violations is None
+        assert sol.theorem1_bound is None

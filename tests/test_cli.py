@@ -436,6 +436,12 @@ def test_degenerate_instance_exits_3(workspace, tmp_path, capsys):
         "--gram", zeros,
     )
     assert code == 3
+    # Every weight on a channel at 1e-13 of the largest Gram diagonal.
+    dead_gram, dead_weights = tmp_path / "dead_gram.amtx", tmp_path / "dead_w.amtx"
+    write_matrix(dead_gram, np.diag([1.0, 1e-13, 2.0]))
+    write_matrix(dead_weights, np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]))
+    code = run("prune", "--weights", dead_weights, "--gram", dead_gram, "--k", 2)
+    assert code == 3
 
 
 @pytest.mark.parametrize(

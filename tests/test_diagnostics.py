@@ -4,15 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from l0prune import (
-    InvalidInputError,
-    Unstructured,
-    admm_solve,
+from l0prune import NM, AdmmConfig, InvalidInputError, Unstructured, admm_solve
+from l0prune.diagnostics import (
+    IterRecord,
+    IterTrace,
+    TheoremBound,
     check_lemma1,
     check_lemma2,
     theorem1_residual_bound,
 )
-from l0prune.diagnostics import IterRecord, IterTrace, TheoremBound
 
 from conftest import random_problem
 
@@ -39,6 +39,26 @@ def solver_trace(seed, n_in=8, n_out=4, k=10):
     rng = np.random.default_rng(seed)
     h, w_hat = random_problem(rng, n_in, n_out)
     return admm_solve(h, w_hat, Unstructured(k)).trace
+
+
+# --- verdicts carried by a solution ---
+
+
+@pytest.mark.parametrize(
+    "budget, cfg",
+    [(Unstructured(10), AdmmConfig()), (NM(2, 4), AdmmConfig()),
+     (Unstructured(10), AdmmConfig(max_iters=4))],
+    ids=["topk", "nm24", "unstabilized"],
+)
+def test_solution_verdicts_replay_the_checkers(budget, cfg):
+    # The solve runs the three checkers once on its own trace; replaying
+    # them on sol.trace gives what the solution carries.
+    h, w_hat = random_problem(np.random.default_rng(20), 8, 4)
+    sol = admm_solve(h, w_hat, budget, cfg)
+    assert sol.stabilized == (cfg.max_iters > 4)
+    assert sol.lemma1_violations == check_lemma1(sol.trace)
+    assert sol.lemma2_violations == check_lemma2(sol.trace)
+    assert sol.theorem1_bound == theorem1_residual_bound(sol.trace)
 
 
 # --- check_lemma1 ---
@@ -146,13 +166,9 @@ def test_theorem_zero_residuals_give_zero_ratio():
 
 
 def test_theorem_constant_is_zero_without_gradient():
-    # All of W_hat sits on a channel below DEAD_DIAG_RTOL, which the
-    # rescaling quarantines, so g = ||G|| is 0 while exp(3hS) overflows:
-    # C is 0, not inf * 0.
-    h = np.diag([1.0, 1e-13, 2.0])
-    w_hat = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-    trace = admm_solve(h, w_hat, Unstructured(2)).trace
-    assert trace.g_norm == 0.0
+    # g = ||G|| is 0 while exp(3hS) overflows: C is 0, not inf * 0.
+    records = [record(rho=1e-9, d_change=0.0, wd_gap=0.0) for _ in range(3)]
+    trace = IterTrace(records=records, h_spectral=1e9, g_norm=0.0)
     assert theorem1_residual_bound(trace) == TheoremBound(c_hat=0.0, worst_ratio=0.0)
 
 

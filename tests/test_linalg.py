@@ -224,6 +224,11 @@ def test_layer_objective_zero_at_fixed_point():
     h = random_psd(rng, 4)
     w = rng.standard_normal((4, 2))
     assert layer_objective(h, w, w) == 0.0
+    # A difference only on a channel the Gram never sees is no gap either.
+    h[1, :] = h[:, 1] = 0.0
+    moved = w.copy()
+    moved[1] += 1.0
+    assert layer_objective(h, w, moved) == 0.0
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -271,8 +276,18 @@ def test_relative_error_column_permutation_invariant(seed):
 
 
 def test_relative_error_degenerate_denominator():
-    with pytest.raises(DegenerateInstanceError):
+    with pytest.raises(DegenerateInstanceError, match="zero output energy"):
         relative_error(np.zeros((2, 2)), np.ones((2, 1)), np.ones((2, 1)))
+    # At c = 1e-170 the energy underflows to 0.0 although H W_hat is
+    # nonzero, and so does the gap of pruned weights although H (W_hat - W)
+    # is: the error blamed the weights, and layer_objective read 0.0.
+    h, w_hat = scale_instance()
+    w = np.where(np.abs(w_hat) > 1.0, w_hat, 0.0)
+    with pytest.raises(DegenerateInstanceError, match="energy of the dense weights underflows"):
+        relative_error(h, 1e-170 * w_hat, 1e-170 * w_hat)
+    for metric in (layer_objective, relative_error):
+        with pytest.raises(DegenerateInstanceError, match=r"gap, 0\.000e\+00, is not a normal"):
+            metric(h, 1e-170 * w_hat, 1e-170 * w)
 
 
 @pytest.mark.parametrize("c, g", [(1e154, 1.0), (1.0, 1e305)])
@@ -283,6 +298,9 @@ def test_relative_error_rejects_an_energy_beyond_float64(c, g):
     w = np.where(np.abs(w_hat) > 1.0, c * w_hat, 0.0)
     with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
         relative_error(g * h, c * w_hat, w)
+    # The gap overflows too; layer_objective returned NaN or inf.
+    with pytest.raises(DegenerateInstanceError, match="gap, .*, is not a normal float64"):
+        layer_objective(g * h, c * w_hat, w)
 
 
 def test_relative_error_uses_the_checked_arrays():
