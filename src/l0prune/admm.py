@@ -32,10 +32,14 @@ buffers, Q and lambda; admm_solve owns rho, the iteration count, the last
 checked support and the stop. Through the loop a solve holds the state,
 the scaled W_hat and Gram, and during a top-k projection the copy
 np.partition reorders. Only D and rho outlive the loop: the state and the
-support go before the polish, which reads only lambda_max and refines in
-D's buffer, so it stays below the loop. The loop sets a wide layer's
-memory peak, the eigendecomposition a tall one's: about 6 n^2, with
-NumPy's copy of the input, LAPACK's work array and Q beside the Gram.
+support go before the polish, which reads only lambda_max. The polish
+holds at most five n x m arrays past its entry: W, the projected D', in
+which its refinement runs, and the refinement's residual, direction and
+H times it. Each round's step runs in the spent descent's buffer, which
+goes before the refinement. So the polish stays below the loop's eight.
+The loop sets a wide layer's memory peak, the eigendecomposition a tall
+one's: about 6 n^2, with NumPy's copy of the input, LAPACK's work array
+and Q beside the Gram.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -217,10 +221,11 @@ def polish(
     Works on the rescaled problem, a congruence of the original, so the
     objectives compared are the real ones; spectral_norm is its Gram's.
     The polish consumes d: the refinement runs in its buffer. At most
-    cfg.max_iters rounds follow, each refining its projected D' in D'
-    itself, and every refinement runs at most cfg.pcg_iters iterations.
-    Returns the weights, the rounds accepted and the CG iterations of
-    every refinement.
+    cfg.max_iters rounds follow, each taking its step in the descent's
+    buffer and refining its projected D' in D' itself, and every
+    refinement runs at most cfg.pcg_iters iterations. So it holds at most
+    five n x m arrays: W, D' and support_cg's three. Returns the weights,
+    the rounds accepted and the CG iterations of every refinement.
     """
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / spectral_norm
@@ -230,8 +235,11 @@ def polish(
     descent, objective = gap_form(h, w_hat, w)
     rounds = 0
     for _ in range(cfg.max_iters):
-        d = project(w + step * descent, budget)
-        # Spent, so not held through the refinement: a kept round brings its own.
+        # The step runs in descent's buffer, released before the
+        # refinement: a kept round brings its own.
+        descent *= step
+        descent += w
+        d = project(descent, budget)
         del descent
         d_mask = d != 0.0
         if np.array_equal(d_mask, mask):
@@ -319,7 +327,7 @@ def admm_solve(
     polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, cfg)
     w = scaled.scale[:, None] * polished
     return build_solution(
-        w, h, w_hat, "admm",
+        w, h, w_hat, "alps",
         stabilized=stabilized,
         iterations=len(trace.records),
         rho_final=rho,

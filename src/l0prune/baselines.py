@@ -23,7 +23,7 @@ from .projections import (
     SparsityBudget,
     Unstructured,
     budget_mask,
-    check_budget,
+    budget_size,
     check_support,
 )
 
@@ -35,7 +35,9 @@ class PruneSolution:
     """A pruned weight matrix with its quality metrics.
 
     objective and rel_error are evaluated against the Gram matrix when
-    one is available; methods that never see a Gram leave them None. The
+    one is available; methods that never see a Gram leave them None.
+    method is the name `l0prune prune --method` gives the solver ("alps",
+    "mp", "wanda"), or the oracle's ("backsolve", "brute_force"). The
     last three fields hold the diagnostics checkers' results on the trace.
     """
 
@@ -114,7 +116,7 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
         raise InvalidInputError(
             f"instance has {size} weights; enumeration is capped at {BRUTE_FORCE_LIMIT}"
         )
-    check_budget(Unstructured(k), w_hat.shape)
+    budget_size(Unstructured(k), w_hat.shape)
     # The energy is the objective of W = 0, so it bounds every candidate's
     # optimum: if it is a normal float64, no candidate objective overflows.
     output_energy(h, w_hat)
@@ -141,7 +143,7 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
 
 def _keep_best(scores, w_hat, h, budget: SparsityBudget, method: str) -> PruneSolution:
     """Keep the dense weights whose scores rank highest under the budget."""
-    check_budget(budget, w_hat.shape)
+    budget_size(budget, w_hat.shape)
     w = np.where(budget_mask(scores, budget), w_hat, 0.0)
     return build_solution(w, h, w_hat, method)
 
@@ -155,7 +157,7 @@ def magnitude_prune(w_hat, budget: SparsityBudget, gram=None) -> PruneSolution:
         w_hat = as_matrix(w_hat, "dense weights")
     else:
         gram, w_hat = check_instance(gram, w_hat)
-    return _keep_best(np.abs(w_hat), w_hat, gram, budget, "magnitude")
+    return _keep_best(np.abs(w_hat), w_hat, gram, budget, "mp")
 
 
 def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution:
@@ -171,4 +173,4 @@ def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution
     h, w_hat = check_instance(h, w_hat)
     channel_norms = np.sqrt(np.clip(np.diag(h), 0.0, None))
     scores = np.abs(w_hat) * channel_norms[:, None]
-    return _keep_best(scores, w_hat, h, budget, "activation_weighted")
+    return _keep_best(scores, w_hat, h, budget, "wanda")

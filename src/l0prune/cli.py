@@ -65,16 +65,11 @@ def _budget_block(budget: SparsityBudget, shape) -> dict:
     return {"kind": kind, **dataclasses.asdict(budget), "sparsity": sparsity}
 
 
-def _report_for(
-    solution: PruneSolution,
-    method: str,
-    budget: SparsityBudget,
-    runtime_ms: float,
-) -> dict:
+def _report_for(solution: PruneSolution, budget: SparsityBudget, runtime_ms: float) -> dict:
     """One run's JSON report; the file lists its keys in this order."""
     checked = solution.theorem1_bound is not None
     return {
-        "method": method,
+        "method": solution.method,
         "budget": _budget_block(budget, solution.w.shape),
         "dims": list(solution.w.shape),
         "iterations": solution.iterations,
@@ -92,12 +87,12 @@ def _report_for(
     }
 
 
-def _solve_and_report(args, solve, budget: SparsityBudget, method=None) -> int:
-    """Time solve() alone, then write --out and the report; method defaults to solve's."""
+def _solve_and_report(args, solve, budget: SparsityBudget) -> int:
+    """Time solve() alone, then write --out and the report."""
     start = time.perf_counter()
     solution = solve()
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = _report_for(solution, method or solution.method, budget, runtime_ms)
+    report = _report_for(solution, budget, runtime_ms)
     if args.out:
         write_matrix(args.out, solution.w)
     text = json.dumps(report, indent=2)
@@ -120,7 +115,7 @@ def cmd_prune(args) -> int:
         solve = partial(magnitude_prune, w_hat, budget, gram=h)
     else:
         solve = partial(activation_weighted_prune, w_hat, h, budget)
-    return _solve_and_report(args, solve, budget, args.method)
+    return _solve_and_report(args, solve, budget)
 
 
 def cmd_eval(args) -> int:

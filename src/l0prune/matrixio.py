@@ -16,12 +16,14 @@ to float64 on read. Payloads with NaN or infinite entries are rejected.
 
 Both readers check the header and the file size before any payload is
 read, then read the payload in blocks of rows, BLOCK_BYTES of float64
-each (at least one row). A block is read with `readinto` into a buffer
-of the stored dtype that is reused from block to block, checked for
-finiteness in that dtype, and only then widened. `read_matrix` reads a
-float64 payload straight into its result. `read_row_blocks` yields the
-widened blocks one at a time, so a consumer such as
-`linalg.gram_from_activations` never holds the whole matrix in float64.
+each (at least one row, and for `read_row_blocks` at least one row per
+column). A block is read with `readinto` into a buffer of the stored
+dtype that is reused from block to block, checked for finiteness in that
+dtype (its max and min, which propagate NaN), and only then widened.
+`read_matrix` reads a float64 payload straight into its result.
+`read_row_blocks` yields the widened blocks one at a time, so a consumer
+such as `linalg.gram_from_activations` never holds the whole matrix in
+float64.
 """
 
 from __future__ import annotations
@@ -71,15 +73,18 @@ def read_matrix(path) -> np.ndarray:
 
 
 def read_row_blocks(path):
-    """Yield a matrix file's rows as float64 blocks of at most BLOCK_BYTES.
+    """Yield a matrix file's rows as float64 blocks.
 
-    Each block is checked as `read_matrix` checks the whole payload, and
-    the header and size checks run before the first block is read. Every
-    block reuses one buffer, so a block is valid until the next is drawn.
+    A block holds BLOCK_BYTES of rows, or n rows for n columns if that is
+    more: a Gram pays an n x n product and add per block, so a thinner
+    block costs as much as an n-row one. Each block is checked as
+    `read_matrix` checks the whole payload, and the header and size checks
+    run before the first block is read. Every block reuses one buffer, so
+    a block is valid until the next is drawn.
     """
     with open(path, "rb") as fh:
         dtype, rows, cols = _read_header(fh)
-        step = _block_rows(cols)
+        step = max(_block_rows(cols), cols)
         wide = np.empty((min(step, rows), cols))
         staging = _staging(dtype, *wide.shape)
         for start in range(0, rows, step):
@@ -135,7 +140,8 @@ def _read_rows(fh, dest: np.ndarray, staging: np.ndarray | None) -> None:
     raw = dest if staging is None else staging[: len(dest)]
     if fh.readinto(raw) != raw.nbytes:
         raise InvalidInputError("file ended inside its payload")
-    if not np.isfinite(raw).all():
+    # Unlike an isfinite mask, max and min allocate nothing block-sized.
+    if not (np.isfinite(raw.max()) and np.isfinite(raw.min())):
         raise InvalidInputError("payload contains non-finite values")
     if raw is not dest:
         np.copyto(dest, raw)

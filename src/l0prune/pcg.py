@@ -75,7 +75,9 @@ def support_cg(
     Takes a conforming finite Gram, dense weights, boolean support mask
     and a warm start w that vanishes off the mask, as pcg_refine checks
     and rescales them. Refines in place: returns w, overwritten with the
-    refined weights, and the iterations run. Raises DegenerateInstanceError
+    refined weights, and the iterations run. Beside w it holds three n x m
+    arrays, the residual r, the direction p and H p, whose buffer also
+    takes the steps alpha H p and alpha p. Raises DegenerateInstanceError
     as pcg_refine documents.
     """
     r = h @ (w_hat - w)
@@ -87,7 +89,6 @@ def support_cg(
     p = r.copy()
     rr = np.vdot(r, r)
     hp = np.empty_like(w)
-    tmp = np.empty_like(w)
     rel_residual = 1.0
     iterations = 0
     for _ in range(max_iters):
@@ -99,11 +100,11 @@ def support_cg(
                 f"{rel_residual:.3e} of start"
             )
         alpha = rr / denom
-        np.multiply(p, alpha, out=tmp)
-        w += tmp
-        np.multiply(hp, alpha, out=tmp)
-        r -= tmp
+        # hp is spent once scaled into the residual, so it then holds alpha p.
+        hp *= alpha
+        r -= hp
         r *= mask
+        w += np.multiply(p, alpha, out=hp)
         iterations += 1
         rr_new = np.vdot(r, r)
         rel_residual = float(np.sqrt(rr_new)) / r0_norm

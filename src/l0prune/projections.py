@@ -48,29 +48,26 @@ class NM:
 SparsityBudget = Union[Unstructured, NM]
 
 
-def check_budget(budget: SparsityBudget, shape: tuple[int, int]) -> None:
-    """Reject budgets that cannot bind to a matrix of the given shape."""
+def budget_size(budget: SparsityBudget, shape: tuple[int, int]) -> int:
+    """Most kept weights the budget allows on the given shape.
+
+    The one budget rule: raises InvalidInputError for a k above the
+    shape's size, for groups that do not divide the input dimension, and
+    for a budget of any other type.
+    """
     n_in, n_out = shape
     if isinstance(budget, Unstructured):
         if budget.k > n_in * n_out:
             raise InvalidInputError(
                 f"budget k={budget.k} exceeds matrix size {n_in * n_out}"
             )
-    elif isinstance(budget, NM):
-        if n_in % budget.m != 0:
-            raise InvalidInputError(
-                f"input dimension {n_in} not divisible by group size {budget.m}"
-            )
-    else:
-        raise InvalidInputError(f"unknown budget type {type(budget).__name__}")
-
-
-def budget_size(budget: SparsityBudget, shape: tuple[int, int]) -> int:
-    """Maximum number of kept weights a budget allows on the given shape."""
-    check_budget(budget, shape)
-    n_in, n_out = shape
-    if isinstance(budget, Unstructured):
         return budget.k
+    if not isinstance(budget, NM):
+        raise InvalidInputError(f"unknown budget type {type(budget).__name__}")
+    if n_in % budget.m != 0:
+        raise InvalidInputError(
+            f"input dimension {n_in} not divisible by group size {budget.m}"
+        )
     return budget.n * (n_in // budget.m) * n_out
 
 

@@ -289,7 +289,7 @@ def test_validation_runs_once_per_solve(monkeypatch):
     counts = Counter()
     for name in ("validate_gram", "as_matrix", "eigendecompose"):
         count_calls(monkeypatch, linalg, name, counts)
-    count_calls(monkeypatch, projections, "check_budget", counts)
+    count_calls(monkeypatch, projections, "budget_size", counts)
 
     rng = np.random.default_rng(15)
     h, w_hat = random_problem(rng, 12, 8)
@@ -305,7 +305,7 @@ def test_validation_runs_once_per_solve(monkeypatch):
     assert short["as_matrix"] == 2
     # One factorization and one budget check, whatever the cap.
     assert short["eigendecompose"] == 1
-    assert short["check_budget"] == 1
+    assert short["budget_size"] == 1
     assert short == long
 
 
@@ -357,11 +357,12 @@ def test_loop_memory_is_eight_weight_arrays(budget):
 @pytest.mark.parametrize(
     "budget", [budget_from_sparsity(0.7, 64, 1024), NM(2, 4)], ids=["topk", "nm24"]
 )
-def test_polish_memory_is_six_weight_arrays(budget):
+def test_polish_memory_is_five_weight_arrays(budget):
     # Past its entry the polish holds W and the projected D, and its CG
-    # refinement, which runs in D's buffer, four more n x m arrays (the
-    # residual, the search direction, H times it, and a spare): six. The
-    # spent descent is released before each refinement, an accepted round
+    # refinement, which runs in D's buffer, three more n x m arrays (the
+    # residual, the search direction, and H times it, which also takes
+    # both steps): five. A round's step runs in the descent's buffer,
+    # which is released before the refinement, an accepted round
     # included; the half array covers boolean masks.
     n_in, n_out = 64, 1024
     h, w_hat = random_problem(np.random.default_rng(1), n_in, n_out)
@@ -377,7 +378,7 @@ def test_polish_memory_is_six_weight_arrays(budget):
     finally:
         tracemalloc.stop()
     assert rounds > 1
-    assert peak <= 6.5 * n_in * n_out * 8
+    assert peak <= 5.5 * n_in * n_out * 8
 
 
 def test_sparse_iterate_feasible_after_every_step():

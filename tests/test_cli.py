@@ -13,9 +13,11 @@ import pytest
 from l0prune import (
     NM,
     Unstructured,
+    activation_weighted_prune,
     admm_solve,
     brute_force_support,
     gram_from_activations,
+    magnitude_prune,
     read_matrix,
     relative_error,
     write_matrix,
@@ -97,6 +99,24 @@ def test_prune_report_keys_in_order(workspace):
     assert list(json.loads(paths["report"].read_text())) == REPORT_KEYS
 
 
+@pytest.mark.parametrize("method", ["alps", "mp", "wanda"])
+def test_prune_report_names_the_library_calls_method(workspace, method):
+    # The report copies the method the wrapped library call returns.
+    paths, w_hat, _ = workspace
+    h, budget = read_matrix(paths["gram"]), Unstructured(30)
+    library = {
+        "alps": lambda: admm_solve(h, w_hat, budget),
+        "mp": lambda: magnitude_prune(w_hat, budget, gram=h),
+        "wanda": lambda: activation_weighted_prune(w_hat, h, budget),
+    }
+    assert run(
+        "prune", "--weights", paths["weights"], "--gram", paths["gram"],
+        "--k", 30, "--method", method, "--report", paths["report"],
+    ) == 0
+    report = json.loads(paths["report"].read_text())
+    assert report["method"] == library[method]().method == method
+
+
 def test_prune_report_counts_polish_rounds(tmp_path):
     rng = np.random.default_rng(300)
     h = np.diag(rng.uniform(0.1, 10.0, 32))
@@ -147,7 +167,8 @@ def test_prune_accepts_activations_directly(workspace):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_activation_in_last_block_exits_2(workspace, monkeypatch, capsys, bad):
-    # 64 rows of 10 read 8 at a time: the bad entry is in the eighth block.
+    # 64 rows of 10 read 10 at a time, since 8 rows would be fewer than the
+    # columns: the bad entry is in the seventh block.
     paths, _, _ = workspace
     blob = bytearray(paths["activations"].read_bytes())
     blob[-8:] = struct.pack("<d", bad)

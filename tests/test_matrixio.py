@@ -178,8 +178,12 @@ def test_streamed_gram_matches_one_product(tmp_path, monkeypatch, dtype):
     whole = gram_from_activations(m)
     # Default blocks hold the whole file: the very bits of one product.
     assert _streamed_gram(path).tobytes() == whole.tobytes()
+    # A block holds BLOCK_BYTES of float64 rows, but never fewer rows
+    # than the matrix has columns.
+    monkeypatch.setattr(matrixio, "BLOCK_BYTES", 16 * 7 * 8)
+    assert [len(b) for b in read_row_blocks(path)] == [16] * 6 + [7]
     monkeypatch.setattr(matrixio, "BLOCK_BYTES", 5 * 7 * 8)
-    assert [len(b) for b in read_row_blocks(path)] == [5] * 20 + [3]
+    assert [len(b) for b in read_row_blocks(path)] == [7] * 14 + [5]
     assert np.abs(_streamed_gram(path) - whole).max() <= 1e-12 * np.abs(whole).max()
     assert read_matrix(path).tobytes() == m.tobytes()
 
@@ -247,8 +251,8 @@ def _traced_peak(fn, *args):
 
 def test_streamed_gram_holds_blocks_not_rows(tmp_path, monkeypatch):
     # A tall float32 file: the Gram and its spare n x n buffer, one float64
-    # block, and the float32 block it is widened from (with its finiteness
-    # mask), against rows x n float64 for the whole widened matrix.
+    # block, and the float32 block it is widened from, against rows x n
+    # float64 for the whole widened matrix.
     rows, n = 65536, 64
     path = tmp_path / "tall.amtx"
     x = np.random.default_rng(7).standard_normal((rows, n)).astype(np.float32)

@@ -10,7 +10,6 @@ from l0prune import (
 from l0prune.projections import (
     budget_mask,
     budget_size,
-    check_budget,
     nm_mask,
     project,
     support_change,
@@ -48,13 +47,19 @@ def test_nm_rejects_bad_groups(n, m):
 
 
 def test_check_budget_oversized_k():
-    with pytest.raises(InvalidInputError):
-        check_budget(Unstructured(7), (2, 3))
+    with pytest.raises(InvalidInputError, match="budget k=7 exceeds matrix size 6"):
+        budget_size(Unstructured(7), (2, 3))
 
 
 def test_check_budget_indivisible_groups():
-    with pytest.raises(InvalidInputError):
-        check_budget(NM(2, 4), (6, 3))
+    with pytest.raises(InvalidInputError, match="not divisible by group size 4"):
+        budget_size(NM(2, 4), (6, 3))
+
+
+@pytest.mark.parametrize("budget", [5, (2, 4), None], ids=["int", "tuple", "none"])
+def test_budget_size_rejects_unknown_budget_types(budget):
+    with pytest.raises(InvalidInputError, match="unknown budget type"):
+        budget_size(budget, (8, 3))
 
 
 def test_budget_size_values():
