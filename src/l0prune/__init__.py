@@ -6,11 +6,14 @@ tr((W_hat - W)^T H (W_hat - W)) subject to a global or n:m sparsity
 budget on W, and verify their own convergence behavior from recorded
 iteration traces.
 
-Exported: what users call, construct (AdmmConfig, NM, Unstructured) or catch,
-and PruneSolution; a type only read off a result stays in its submodule.
+Exported: what users call, construct (NM, Unstructured) or catch, and
+PruneSolution; a type only read off a result stays in its submodule.
+The solver's constants stay in their modules: RHO0, the penalty schedule
+and MAX_ITERS (admm_solve's default max_iters) in l0prune.admm, and the
+refinement cap CG_ITERS in l0prune.pcg.
 """
 
-from .admm import AdmmConfig, admm_solve, budget_from_sparsity
+from .admm import admm_solve, budget_from_sparsity
 from .baselines import (
     PruneSolution,
     activation_weighted_prune,
@@ -30,7 +33,6 @@ from .pcg import pcg_refine
 from .projections import NM, Unstructured, support_of
 
 __all__ = [
-    "AdmmConfig",
     "DegenerateInstanceError",
     "DegenerateSupportError",
     "InvalidInputError",

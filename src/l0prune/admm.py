@@ -70,34 +70,18 @@ from .diagnostics import (
 )
 from .errors import DegenerateInstanceError, InvalidInputError
 from .linalg import ScaledProblem, check_instance, eigendecompose, gap_form, preprocess
-from .pcg import support_cg
+from .pcg import CG_ITERS, check_max_iters, support_cg
 from .projections import (
     SparsityBudget, Unstructured, budget_size, project, support_change,
 )
 
-# The reference penalty schedule; rho_update runs every CHECK_PERIOD steps.
+# The reference penalty schedule: rho starts at RHO0 and rho_update runs
+# every CHECK_PERIOD steps. MAX_ITERS is admm_solve's default cap.
+RHO0 = 0.1
 CHECK_PERIOD = 3
 RHO_MULTIPLIERS = (1.3, 1.2, 1.1)
 CHURN_THRESHOLDS = (0.1, 0.005)
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Solver knobs, one per `l0prune prune` flag of the same name.
-
-    max_iters also caps the polish rounds, and pcg_iters every refinement.
-    """
-
-    rho0: float = 0.1
-    max_iters: int = 300
-    pcg_iters: int = 10
-
-    def __post_init__(self):
-        if not 0 < self.rho0 < math.inf:
-            raise InvalidInputError(f"rho0 must be positive and finite: {self.rho0!r}")
-        caps = (self.max_iters, self.pcg_iters)
-        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in caps):
-            raise InvalidInputError(f"iteration caps must be positive integers: {caps}")
+MAX_ITERS = 300
 
 
 def budget_from_sparsity(s: float, n_in: int, n_out: int) -> Unstructured:
@@ -214,27 +198,27 @@ def polish(
     spectral_norm: float,
     budget: SparsityBudget,
     d: np.ndarray,
-    cfg: AdmmConfig,
+    max_iters: int,
 ) -> tuple[np.ndarray, int, int]:
     """Refine on the support of d, then run monotone hard-thresholding rounds.
 
     Works on the rescaled problem, a congruence of the original, so the
     objectives compared are the real ones; spectral_norm is its Gram's.
     The polish consumes d: the refinement runs in its buffer. At most
-    cfg.max_iters rounds follow, each taking its step in the descent's
+    max_iters rounds follow, each taking its step in the descent's
     buffer and refining its projected D' in D' itself, and every
-    refinement runs at most cfg.pcg_iters iterations. So it holds at most
+    refinement runs at most CG_ITERS iterations. So it holds at most
     five n x m arrays: W, D' and support_cg's three. Returns the weights,
     the rounds accepted and the CG iterations of every refinement.
     """
     h, w_hat = scaled.gram, scaled.w_hat
     step = 1.0 / spectral_norm
     mask = d != 0.0
-    w, cg_iters = support_cg(h, w_hat, mask, d, cfg.pcg_iters)
+    w, cg_iters = support_cg(h, w_hat, mask, d, CG_ITERS)
     # H (W_hat - W) is minus half the objective's gradient.
     descent, objective = gap_form(h, w_hat, w)
     rounds = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         # The step runs in descent's buffer, released before the
         # refinement: a kept round brings its own.
         descent *= step
@@ -244,7 +228,7 @@ def polish(
         d_mask = d != 0.0
         if np.array_equal(d_mask, mask):
             break
-        candidate, iters = support_cg(h, w_hat, d_mask, d, cfg.pcg_iters)
+        candidate, iters = support_cg(h, w_hat, d_mask, d, CG_ITERS)
         cg_iters += iters
         descent, candidate_objective = gap_form(h, w_hat, candidate)
         if not candidate_objective < objective:
@@ -255,26 +239,26 @@ def polish(
 
 
 def admm_solve(
-    h,
-    w_hat,
-    budget: SparsityBudget,
-    cfg: AdmmConfig = AdmmConfig(),
+    h, w_hat, budget: SparsityBudget, max_iters: int = MAX_ITERS
 ) -> PruneSolution:
     """Solve the layer pruning problem under a sparsity budget.
 
-    Runs the alternating updates on the rescaled problem until the
-    support of D survives a whole check period unchanged (or max_iters is
-    hit, reported via the stabilized flag), then polishes: refines the
-    weights on the frozen support with conjugate gradient and runs
+    Runs the alternating updates on the rescaled problem, from rho = RHO0,
+    until the support of D survives a whole check period unchanged (or
+    max_iters is hit, reported via the stabilized flag), then polishes:
+    refines the weights on the frozen support with conjugate gradient,
+    at most CG_ITERS iterations a refinement, and runs at most max_iters
     monotone hard-thresholding rounds. Last it undoes the scaling. The
     returned solution carries a per-iteration trace, the verdicts of the
     three convergence checks of l0prune.diagnostics on it, the polish
     rounds accepted, and in pcg_iters_used every refinement iteration the
-    solve ran, polish rounds included. Raises DegenerateInstanceError
+    solve ran, polish rounds included. Raises InvalidInputError when
+    max_iters is not a positive integer, and DegenerateInstanceError
     where preprocess does, when ||H W_hat|| overflows on the rescaled
     problem, and when W_hat is nonzero only on dead channels.
     """
     # The only input checks; the rest trusts them.
+    check_max_iters(max_iters)
     h, w_hat = check_instance(h, w_hat)
     k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
@@ -291,9 +275,9 @@ def admm_solve(
     # rescaling zeroed every row: then the signal sits on dead channels.
     if pre[0] == 0.0 and w_hat.any():
         raise DegenerateInstanceError("the dense weights are nonzero only on dead channels")
-    rho, support = cfg.rho0, scaled.w_hat != 0.0
+    rho, support = RHO0, scaled.w_hat != 0.0
     stabilized = False
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, max_iters + 1):
         d_change, wd_gap = admm_step(state, rho, budget)
         delta = None
         if t % CHECK_PERIOD == 0:
@@ -324,7 +308,7 @@ def admm_solve(
     # support must not stay alive through the polish.
     d = state.d
     del state, support
-    polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, cfg)
+    polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, max_iters)
     w = scaled.scale[:, None] * polished
     return build_solution(
         w, h, w_hat, "alps",

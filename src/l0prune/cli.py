@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .admm import AdmmConfig, admm_solve, budget_from_sparsity
+from .admm import MAX_ITERS, admm_solve, budget_from_sparsity
 from .baselines import (
     PruneSolution,
     activation_weighted_prune,
@@ -109,8 +109,7 @@ def cmd_prune(args) -> int:
     h = _load_gram(args)
     budget = _budget_for(args, w_hat.shape)
     if args.method == "alps":
-        knobs = {f.name: getattr(args, f.name) for f in dataclasses.fields(AdmmConfig)}
-        solve = partial(admm_solve, h, w_hat, budget, AdmmConfig(**knobs))
+        solve = partial(admm_solve, h, w_hat, budget, max_iters=args.max_iters)
     elif args.method == "mp":
         solve = partial(magnitude_prune, w_hat, budget, gram=h)
     else:
@@ -170,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune.add_argument("--out", help="where to write the pruned weights")
     prune.add_argument("--report", help="where to write the JSON report")
-    for f in dataclasses.fields(AdmmConfig):
-        flag = "--" + f.name.replace("_", "-")
-        prune.add_argument(flag, type=type(f.default), default=f.default)
+    prune.add_argument(
+        "--max-iters", type=int, default=MAX_ITERS,
+        help="cap on ADMM iterations and on polish rounds (alps only)",
+    )
     prune.set_defaults(func=cmd_prune)
 
     evaluate = sub.add_parser("eval", help="relative error of a pruned file")

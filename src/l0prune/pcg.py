@@ -26,9 +26,11 @@ from .projections import check_support
 # converged: no step; CG stops once it falls to REL_TOL of its start.
 START_RTOL = 1e-14
 REL_TOL = 1e-8
+# The cap on every refinement the solver's polish runs, and pcg_refine's default.
+CG_ITERS = 10
 
 
-def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
+def pcg_refine(h, w_hat, support, w0, max_iters: int = CG_ITERS) -> np.ndarray:
     """Refine weights on a fixed support toward the restricted optimum.
 
     Parameters
@@ -37,7 +39,7 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     w_hat : dense reference weights.
     support : boolean mask shaped like w_hat that the solution must live on.
     w0 : warm start, already supported on the mask.
-    max_iters : positive iteration cap.
+    max_iters : positive iteration cap, by default the solver's CG_ITERS.
 
     Returns the refined weights, supported on the mask, with w0's rows on
     the dead channels of linalg.preprocess; w0 is left as it was. Raises
@@ -52,8 +54,7 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
         raise InvalidInputError(f"warm start {w0.shape} not shaped like {w_hat.shape}")
     if np.any(w0[~support] != 0.0):
         raise InvalidInputError("warm start has mass outside the support")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise InvalidInputError(f"max_iters must be a positive integer: {max_iters!r}")
+    check_max_iters(max_iters)
 
     scaled = preprocess(h, w_hat)
     scale = scaled.scale[:, None]
@@ -61,6 +62,12 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = 10) -> np.ndarray:
     w = support_cg(scaled.gram, scaled.w_hat, support, w0 / scale, max_iters)[0]
     w *= scale
     return w
+
+
+def check_max_iters(max_iters) -> None:
+    """The one rule for an iteration cap: a positive integer."""
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise InvalidInputError(f"max_iters must be a positive integer: {max_iters!r}")
 
 
 def support_cg(

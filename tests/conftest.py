@@ -24,17 +24,27 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
-def correlated_activations(rng, nl, n_in, cond=100.0):
-    """Gaussian rows whose covariance spectrum spans the given condition number."""
+def correlated_activations(rng, nl, n_in, cond=100.0, outliers=None):
+    """Gaussian rows whose covariance spectrum spans the given condition number.
+
+    outliers=(fraction, factor) scales that fraction of the channels (at
+    least one), chosen at random, by factor, as LLM activations carry a few
+    feature dimensions 10-100x larger than the rest. The choice is drawn
+    after the rows, so the rows match the draw without outliers.
+    """
     q, _ = np.linalg.qr(rng.standard_normal((n_in, n_in)))
     sing = np.logspace(0.0, -0.5 * math.log10(cond), n_in)
-    return rng.standard_normal((nl, n_in)) @ (q * sing) @ q.T
+    x = rng.standard_normal((nl, n_in)) @ (q * sing) @ q.T
+    if outliers is not None:
+        fraction, factor = outliers
+        x[:, rng.choice(n_in, max(1, round(fraction * n_in)), replace=False)] *= factor
+    return x
 
 
-def random_problem(rng, n_in, n_out, nl=None, cond=100.0):
+def random_problem(rng, n_in, n_out, nl=None, cond=100.0, outliers=None):
     """A (gram, dense weights) pair from correlated calibration data."""
     nl = 4 * n_in if nl is None else nl
-    x = correlated_activations(rng, nl, n_in, cond)
+    x = correlated_activations(rng, nl, n_in, cond, outliers)
     h = x.T @ x
     return (h + h.T) / 2.0, rng.standard_normal((n_in, n_out))
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import l0prune as lp
-from l0prune.admm import preprocess
+from l0prune.admm import RHO0, preprocess
 from l0prune.cli import main as cli_main
 from l0prune.diagnostics import check_lemma1, check_lemma2, theorem1_residual_bound
 from l0prune.projections import project
@@ -36,14 +36,13 @@ def announce(capsys):
     return emit
 
 
-def tracked_solve(h, w_hat, budget, runs, cfg=lp.AdmmConfig()):
+def tracked_solve(h, w_hat, budget, runs):
     """Solve and remember what the theory checks need later."""
-    sol = lp.admm_solve(h, w_hat, budget, cfg)
+    sol = lp.admm_solve(h, w_hat, budget)
     runs.append(
         {
             "trace": sol.trace,
             "stabilized": sol.stabilized,
-            "rho0": cfg.rho0,
             "rho_final": sol.rho_final,
             "scaled_w_norm": float(np.linalg.norm(preprocess(h, w_hat).w_hat)),
         }
@@ -214,7 +213,7 @@ def test_5_theory_suite(
         lemma2 += len(check_lemma2(trace))
         bound = theorem1_residual_bound(trace)
         worst_ratio = max(worst_ratio, bound.worst_ratio)
-        if run["stabilized"] and run["rho_final"] >= 1000.0 * run["rho0"]:
+        if run["stabilized"] and run["rho_final"] >= 1000.0 * RHO0:
             gap_checked += 1
             final_gap = trace.records[-1].wd_gap
             if final_gap > 1e-6 * run["scaled_w_norm"]:

@@ -1,8 +1,9 @@
 """The top-level namespace exports the user-facing API and nothing else."""
 
-import dataclasses
+import argparse
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import l0prune
 from l0prune.cli import build_parser
 
 PUBLIC_API = [
-    "AdmmConfig",
     "DegenerateInstanceError",
     "DegenerateSupportError",
     "InvalidInputError",
@@ -74,14 +74,15 @@ def test_bench_names_stay_top_level():
 
 
 def test_every_solver_setting_is_a_prune_flag():
+    # max_iters is admm_solve's one setting and prune's one solver flag,
+    # with the same default; rho0 and the CG cap are fixed constants.
     args = build_parser().parse_args(["prune", "--weights", "w", "--gram", "h", "--k", "1"])
     not_solver = {"command", "func", "weights", "gram", "activations", "sparsity",
                   "nm", "k", "method", "out", "report"}
     flags = {name: value for name, value in vars(args).items() if name not in not_solver}
-    assert flags == dataclasses.asdict(l0prune.AdmmConfig())
-    assert [f.name for f in dataclasses.fields(l0prune.AdmmConfig)] == [
-        "rho0", "max_iters", "pcg_iters"
-    ]
+    settings = inspect.signature(l0prune.admm_solve).parameters
+    assert list(settings) == ["h", "w_hat", "budget", "max_iters"]
+    assert flags == {"max_iters": settings["max_iters"].default}
 
 
 @pytest.mark.parametrize("module", sorted(INTERNALS))
@@ -128,3 +129,24 @@ def test_readme_lists_the_public_api():
     listing = listing[:listing.index("\n\n")]
     assert listing.startswith("- ")
     assert set(re.findall(r"`([A-Za-z_]\w*)`", listing)) == set(l0prune.__all__)
+
+
+def _parser_options(parser) -> set[str]:
+    # Every long option of the four subcommands, --help excluded.
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        flag
+        for command in sub.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+
+
+def test_readme_cli_flags_match_the_parser():
+    # The flags the README's "Command line" section names are exactly the
+    # subcommands' options, so a removed flag cannot linger in the docs.
+    text = README.read_text()
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start + 1)]
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == _parser_options(build_parser())

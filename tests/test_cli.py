@@ -407,14 +407,28 @@ def test_bad_nm_string_exits_2(workspace, capsys):
     assert code == 2
 
 
-def test_infinite_rho0_exits_2(workspace, capsys):
+def test_removed_solver_flags_exit_2(workspace, capsys):
+    # The starting penalty and the CG cap are constants, not flags: argparse
+    # refuses them, even at their old defaults.
+    paths, _, _ = workspace
+    for flag, value in (("--rho0", "0.1"), ("--pcg-iters", "10")):
+        code = run(
+            "prune", "--weights", paths["weights"], "--gram", paths["gram"],
+            "--k", 30, flag, value,
+        )
+        assert code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_max_iters_exits_2(workspace, capsys, value):
     paths, _, _ = workspace
     code = run(
         "prune", "--weights", paths["weights"], "--gram", paths["gram"],
-        "--k", 30, "--rho0", "inf",
+        "--k", 30, "--max-iters", value,
     )
     assert code == 2
-    assert "rho0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: max_iters must be a positive integer: {value}\n"
 
 
 def test_eval_rejects_asymmetric_gram(workspace, tmp_path, capsys):

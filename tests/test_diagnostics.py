@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from l0prune import NM, AdmmConfig, InvalidInputError, Unstructured, admm_solve
+from l0prune import NM, InvalidInputError, Unstructured, admm_solve
+from l0prune.admm import MAX_ITERS
 from l0prune.diagnostics import (
     IterRecord,
     IterTrace,
@@ -45,17 +46,16 @@ def solver_trace(seed, n_in=8, n_out=4, k=10):
 
 
 @pytest.mark.parametrize(
-    "budget, cfg",
-    [(Unstructured(10), AdmmConfig()), (NM(2, 4), AdmmConfig()),
-     (Unstructured(10), AdmmConfig(max_iters=4))],
+    "budget, max_iters",
+    [(Unstructured(10), MAX_ITERS), (NM(2, 4), MAX_ITERS), (Unstructured(10), 4)],
     ids=["topk", "nm24", "unstabilized"],
 )
-def test_solution_verdicts_replay_the_checkers(budget, cfg):
+def test_solution_verdicts_replay_the_checkers(budget, max_iters):
     # The solve runs the three checkers once on its own trace; replaying
     # them on sol.trace gives what the solution carries.
     h, w_hat = random_problem(np.random.default_rng(20), 8, 4)
-    sol = admm_solve(h, w_hat, budget, cfg)
-    assert sol.stabilized == (cfg.max_iters > 4)
+    sol = admm_solve(h, w_hat, budget, max_iters=max_iters)
+    assert sol.stabilized == (max_iters > 4)
     assert sol.lemma1_violations == check_lemma1(sol.trace)
     assert sol.lemma2_violations == check_lemma2(sol.trace)
     assert sol.theorem1_bound == theorem1_residual_bound(sol.trace)
