@@ -69,7 +69,7 @@ from .diagnostics import (
     IterRecord, IterTrace, check_lemma1, check_lemma2, theorem1_residual_bound,
 )
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import ScaledProblem, check_instance, eigendecompose, gap_form, preprocess
+from .linalg import ScaledProblem, check_instance, check_range, eigendecompose, gap_form, preprocess
 from .pcg import CG_ITERS, check_max_iters, support_cg
 from .projections import (
     SparsityBudget, Unstructured, budget_size, project, support_change,
@@ -254,8 +254,8 @@ def admm_solve(
     rounds accepted, and in pcg_iters_used every refinement iteration the
     solve ran, polish rounds included. Raises InvalidInputError when
     max_iters is not a positive integer, and DegenerateInstanceError
-    where preprocess does, when ||H W_hat|| overflows on the rescaled
-    problem, and when W_hat is nonzero only on dead channels.
+    where preprocess does, where linalg.check_range does on ||H W_hat||^2
+    of the rescaled problem, and when W_hat is nonzero only on dead channels.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)
@@ -266,9 +266,9 @@ def admm_solve(
     state = initial_state(scaled)
     spectral_norm = float(state.lam[-1])
     # ||G|| can overflow where W_hat's own norm does not; vdot does not warn.
-    g_squared = float(np.vdot(state.qtg, state.qtg))
-    if not math.isfinite(g_squared):
-        raise DegenerateInstanceError("squared norm of the rescaled H W_hat overflows float64")
+    g_squared = check_range(
+        np.vdot(state.qtg, state.qtg), state.qtg, "squared norm of the rescaled H W_hat"
+    )
     trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=math.sqrt(g_squared))
     pre = _norms(state)
     # ||D|| starts as the rescaled W_hat's norm, zero here only if the

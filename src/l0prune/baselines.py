@@ -172,5 +172,7 @@ def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution
     """
     h, w_hat = check_instance(h, w_hat)
     channel_norms = np.sqrt(np.clip(np.diag(h), 0.0, None))
-    scores = np.abs(w_hat) * channel_norms[:, None]
+    # A score past float64's range is inf; build_solution's energy check raises.
+    with np.errstate(over="ignore"):
+        scores = np.abs(w_hat) * channel_norms[:, None]
     return _keep_best(scores, w_hat, h, budget, "wanda")

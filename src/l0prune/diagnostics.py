@@ -76,6 +76,14 @@ def _slack(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(lhs, rhs, 1e-300)
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf where the result is past float64's range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def check_lemma1(trace: IterTrace) -> list[Violation]:
     """Verify the per-step dual growth bound on a recorded trace.
 
@@ -113,8 +121,8 @@ def check_lemma2(trace: IterTrace) -> list[Violation]:
     With a_t = ||D_t|| + ||V_t|| / rho_t, every iteration must satisfy
     a_t <= prod_{s<t}(1 + 3h/rho_s) * (a_0 + sum_{s<t} 3g/rho_s) where h
     is the spectral norm of the Gram and g = ||G||_F. The product is
-    accumulated in log space; overflow degrades the bound to infinity,
-    which can never flag a finite trace. Requires nondecreasing rho.
+    accumulated in log space; past float64 the bound is infinite, which
+    can never flag a finite trace. Requires nondecreasing rho.
     """
     _require_records(trace)
     rhos = [rec.rho for rec in trace.records]
@@ -129,9 +137,7 @@ def check_lemma2(trace: IterTrace) -> list[Violation]:
     violations = []
     for t, rec in enumerate(trace.records):
         base = a0 + drift
-        bound = math.exp(min(log_growth, 709.0)) * base if base > 0 else 0.0
-        if log_growth > 709.0 and base > 0:
-            bound = math.inf
+        bound = base * _exp(log_growth) if base > 0 else 0.0
         lhs = rec.d_norm + rec.v_norm / rec.rho
         if _violated(lhs, bound, guard):
             violations.append(Violation(t, "norm_product", _slack(lhs, bound)))
@@ -165,10 +171,7 @@ def theorem1_residual_bound(trace: IterTrace) -> TheoremBound:
     sum_inv += max(HORIZON - len(trace.records), 0) / trace.records[-1].rho
     g = trace.g_norm
     h = trace.h_spectral
-    try:
-        growth = math.exp(3.0 * h * sum_inv)
-    except OverflowError:
-        growth = math.inf
+    growth = _exp(3.0 * h * sum_inv)
     c_hat = 2.0 * g + 2.0 * h * growth * (g + 3.0 * g * sum_inv) if g else 0.0
     worst = max(rec.rho * max(rec.d_change, rec.wd_gap) for rec in trace.records)
     if worst == 0.0:

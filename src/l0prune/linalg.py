@@ -113,9 +113,8 @@ class ScaledProblem:
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     """Rescale arrays check_instance passed to a Gram with unit live diagonal.
 
-    Raises DegenerateInstanceError on an all-zero Gram diagonal, and when
-    the rescaled weights' squared norm is infinite, or below TINY while a
-    live row is nonzero.
+    Raises DegenerateInstanceError on an all-zero Gram diagonal, and where
+    check_range does on the rescaled weights' squared norm.
     """
     diag = np.diag(h)
     max_diag = float(diag.max())
@@ -134,23 +133,27 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     gram = (gram + gram.T) / 2.0
     # Exactly 1 where live, so the CG on it needs no preconditioner.
     np.fill_diagonal(gram, live)
-    # An overflow to inf here is caught by the squared-norm test below.
+    # An overflow to inf here is caught by the squared-norm check below.
     with np.errstate(over="ignore"):
         w_scaled = w_hat / scale[:, None]
     w_scaled[dead, :] = 0.0
-    # Every iterate and norm of a solve is on w_scaled's scale: an infinite
-    # squared norm makes them NaN, a subnormal one rounds bits away. Zero on
-    # every live row is a defined instance. vdot emits no overflow warning.
-    squared = float(np.vdot(w_scaled, w_scaled))
-    if squared == np.inf:
-        raise DegenerateInstanceError(
-            "squared norm of the rescaled dense weights overflows float64"
-        )
-    if squared < TINY and w_scaled.any():
-        raise DegenerateInstanceError(
-            f"squared norm of the rescaled dense weights underflows float64: {squared:.3e}"
-        )
+    # Every iterate and norm of a solve is on w_scaled's scale; vdot does not warn.
+    check_range(np.vdot(w_scaled, w_scaled), w_scaled, "squared norm of the rescaled dense weights")
     return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
+
+
+def check_range(value, operand: np.ndarray, name: str) -> float:
+    """The one float64-range rule for a squared norm or quadratic form.
+
+    value is formed from operand. Raises DegenerateInstanceError when it is
+    not finite, or below TINY in magnitude while operand is nonzero: then
+    it has lost its bits, while zero from a zero operand is exact.
+    """
+    if not np.isfinite(value):
+        raise DegenerateInstanceError(f"{name} overflows float64")
+    if abs(value) < TINY and operand.any():
+        raise DegenerateInstanceError(f"{name} underflows float64: {value:.3e}")
+    return float(value)
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +177,8 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def layer_objective(h, w_hat, w) -> float:
     """Reconstruction gap tr((W_hat - W)^T H (W_hat - W)), clamped at zero.
 
-    Raises DegenerateInstanceError when the gap is beyond float64's range:
-    not finite, or below TINY in magnitude while H (W_hat - W) is nonzero.
+    Raises DegenerateInstanceError where check_range does on the gap,
+    formed from H (W_hat - W).
     """
     return _checked_objective(h, w_hat, w)[0]
 
@@ -187,18 +190,19 @@ def _checked_objective(h, w_hat, w) -> tuple[float, np.ndarray, np.ndarray]:
     if w.shape != w_hat.shape:
         raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
     h_delta, form = gap_form(h, w_hat, w)
-    # A tiny form is an underflow only if H (W_hat - W) is nonzero, which
-    # W = W_hat, or a difference on zero-Gram channels, leaves exactly zero.
-    if not np.isfinite(form) or (abs(form) < TINY and h_delta.any()):
-        raise DegenerateInstanceError(f"reconstruction gap, {form:.3e}, is not a normal float64")
+    check_range(form, h_delta, "reconstruction gap")
     # The quadratic form can go mildly negative from rounding on PSD input.
     return max(form, 0.0), h, w_hat
 
 
 def gap_form(h, w_hat, w) -> tuple[np.ndarray, float]:
-    """H (W_hat - W) and unclamped tr((W_hat - W)^T H (W_hat - W)), unchecked."""
-    delta = w_hat - w
-    h_delta = h @ delta
+    """H (W_hat - W) and unclamped tr((W_hat - W)^T H (W_hat - W)), unchecked.
+
+    Past float64's range they overflow to inf or NaN without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = w_hat - w
+        h_delta = h @ delta
     return h_delta, float(np.vdot(delta, h_delta))
 
 
@@ -216,18 +220,12 @@ def relative_error(h, w_hat, w) -> float:
 def output_energy(h: np.ndarray, w_hat: np.ndarray) -> float:
     """tr(W_hat^T H W_hat) for arrays the caller has already checked.
 
-    Raises DegenerateInstanceError unless it is a positive normal float64:
-    beyond float64's range it overflows to inf or NaN, or loses its bits
-    to underflow, and a relative error over it would be meaningless.
+    Raises DegenerateInstanceError where check_range does on it, formed
+    from H W_hat, and when it is not positive: no signal to preserve.
     """
-    h_w = h @ w_hat
-    energy = float(np.vdot(w_hat, h_w))
-    if energy == 0.0 and h_w.any():
-        raise DegenerateInstanceError("output energy of the dense weights underflows float64")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_w = h @ w_hat
+    energy = check_range(np.vdot(w_hat, h_w), h_w, "output energy of the dense weights")
     if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
-    if not TINY <= energy < np.inf:
-        raise DegenerateInstanceError(
-            f"output energy of the dense weights, {energy:.3e}, is not a normal float64"
-        )
     return energy

@@ -78,6 +78,8 @@ def test_budget_from_sparsity_counts_kept_weights(s, n_in, n_out, k):
 def test_budget_from_sparsity_range_check():
     with pytest.raises(InvalidInputError):
         budget_from_sparsity(1.5, 4, 4)
+    with pytest.raises(InvalidInputError, match="dimensions must be positive"):
+        budget_from_sparsity(0.5, 0, 3)
 
 
 # --- config ---
@@ -588,6 +590,30 @@ def test_solve_rejects_an_instance_beyond_float64(c, g, message):
     h, w_hat = scale_instance()
     with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
         admm_solve(g * h, c * w_hat, budget_from_sparsity(0.7, 64, 32))
+
+
+@pytest.mark.parametrize(
+    "entry", ["activation_weighted_prune", "layer_objective", "magnitude_prune", "relative_error"]
+)
+@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
+def test_metrics_reject_an_instance_beyond_float64(entry, c, g, message):
+    # Each raises on the gap or the output energy. With both scaled, the
+    # products that form them warned of their overflow first.
+    h, w_hat = scale_instance()
+    with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
+        GRAM_ENTRIES[entry](g * h, c * w_hat)
+
+
+def test_solve_rejects_a_gradient_below_float64():
+    # Along the scaled Gram's eigenvalue 1e-10, ||G||^2 = 2e-312 is
+    # subnormal while the weights' squares and the energy are normal: the
+    # solve returned rel_error 1.0 where at 1e-140 it reads 1 - 5e-11.
+    r = 1.0 - 1e-10
+    h = np.array([[1.0, r], [r, 1.0]])
+    w_hat = np.array([[1e-146], [-1e-146]])
+    with pytest.raises(DegenerateInstanceError, match="H W_hat underflows float64: 2.000e-312"):
+        admm_solve(h, w_hat, Unstructured(1))
+    assert admm_solve(h, 1e6 * w_hat, Unstructured(1)).rel_error == pytest.approx(1.0 - 5e-11, abs=1e-15)
 
 
 def test_solve_is_deterministic():

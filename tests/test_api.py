@@ -1,6 +1,7 @@
 """The top-level namespace exports the user-facing API and nothing else."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -47,6 +48,7 @@ BENCH_NAMES = [
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0prune"
 
 # The rescaling is defined in l0prune.linalg; l0prune.admm imports it, and
 # bench/tracer.py times the solver's call there as admm.preprocess.
@@ -55,7 +57,7 @@ INTERNALS = {
                      "preprocess", "rho_update"],
     "l0prune.diagnostics": ["IterRecord", "IterTrace", "TheoremBound", "Violation",
                             "check_lemma1", "check_lemma2", "theorem1_residual_bound"],
-    "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance",
+    "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance", "check_range",
                        "eigendecompose", "preprocess", "validate_gram"],
     "l0prune.matrixio": ["read_row_blocks"],
     "l0prune.projections": ["SparsityBudget", "project", "support_change"],
@@ -150,3 +152,36 @@ def test_readme_cli_flags_match_the_parser():
     start = text.index("## Command line")
     section = text[start:text.index("\n## ", start + 1)]
     assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == _parser_options(build_parser())
+
+
+def _nodes_by_function(tree):
+    """Every node of tree, with the name of its innermost enclosing def or None."""
+    stack = [(None, tree)]
+    while stack:
+        owner, node = stack.pop()
+        yield owner, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+
+
+def test_float64_range_rule_lives_in_check_range():
+    # One rule decides whether a squared norm or form is within float64's
+    # range, with two message shapes: "<name> overflows float64" and
+    # "<name> underflows float64: <value>". TINY, its threshold, is named
+    # only where linalg defines it and in check_range.
+    tiny, float64_raises = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert "is not a normal float64" not in source, path.name
+        for owner, node in _nodes_by_function(ast.parse(source)):
+            # A bare name, an attribute or an import of it.
+            if "TINY" in (getattr(node, a, None) for a in ("id", "attr", "name")):
+                tiny.add((path.stem, owner))
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and "float64" in str(c.value)
+                for c in ast.walk(node)
+            ):
+                float64_raises.add((path.stem, owner))
+    assert tiny == {("linalg", None), ("linalg", "check_range")}
+    assert float64_raises == {("linalg", "check_range")}

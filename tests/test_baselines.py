@@ -80,6 +80,15 @@ def test_backsolve_singular_support_names_column():
     assert exc.value.column == 0
 
 
+def test_backsolve_non_finite_solution_names_column():
+    # Column 0's restricted system is 1e-300 w = 1e9: LAPACK solves it
+    # without an error, and the quotient overflows to inf.
+    h = [[1e-300, 1e-10], [1e-10, 1e280]]
+    with pytest.raises(DegenerateSupportError) as exc:
+        backsolve_exact(h, [[0.0], [1e19]], [[True], [False]])
+    assert exc.value.column == 0
+
+
 def test_backsolve_shape_mismatch():
     with pytest.raises(InvalidInputError):
         backsolve_exact(np.eye(3), np.ones((4, 1)), support_of(np.ones((4, 1))))
@@ -135,6 +144,20 @@ def test_brute_force_matches_manual_enumeration():
         best = min(best, layer_objective(h, w_hat, w))
     sol = brute_force_support(h, w_hat, k)
     assert sol.objective == pytest.approx(best, rel=1e-12)
+
+
+def test_brute_force_rejects_when_every_support_is_singular():
+    # Both two-weight supports of one column are singular on a rank-1 Gram.
+    with pytest.raises(DegenerateInstanceError, match="every candidate support was singular"):
+        brute_force_support(np.ones((2, 2)), [[1.0], [2.0]], 2)
+
+
+def test_brute_force_skips_singular_supports():
+    # On a rank-1 Gram, a support holding both rows of a column is singular.
+    # One row a column fits W_hat's output exactly; the tie goes to row 0.
+    sol = brute_force_support(np.ones((2, 2)), [[1.0, 0.5], [2.0, -1.0]], 2)
+    np.testing.assert_array_equal(sol.support, [[True, True], [False, False]])
+    assert sol.objective == 0.0
 
 
 def test_brute_force_ties_go_to_the_first_support():
@@ -258,7 +281,9 @@ def test_activation_weighted_matches_score_oracle():
 def test_activation_weighted_rejects_an_energy_beyond_float64(c, g):
     # Its rel_error divided by an energy that overflowed: NaN, silently.
     h, w_hat = scale_instance()
-    with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
+    with pytest.raises(
+        DegenerateInstanceError, match="energy of the dense weights overflows float64"
+    ):
         activation_weighted_prune(c * w_hat, g * h, Unstructured(614))
 
 
@@ -266,7 +291,9 @@ def test_brute_force_rejects_an_energy_beyond_float64():
     # Every candidate's objective overflowed, so none was kept and the
     # search blamed singular supports.
     h, w_hat = random_problem(np.random.default_rng(3), 4, 4)
-    with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
+    with pytest.raises(
+        DegenerateInstanceError, match="energy of the dense weights overflows float64"
+    ):
         brute_force_support(h, 1e154 * w_hat, 6)
     # At 1e-200 the energy underflows to 0.0; the error blamed the weights.
     with pytest.raises(DegenerateInstanceError, match="energy of the dense weights underflows"):

@@ -25,7 +25,7 @@ from l0prune import (
 from l0prune import linalg, matrixio
 from l0prune.cli import _budget_block, main
 
-from conftest import correlated_activations, count_calls
+from conftest import BEYOND_FLOAT64, correlated_activations, count_calls, scale_instance
 
 # bench/run.py and other readers parse the report; keep its keys stable.
 REPORT_KEYS = [
@@ -477,6 +477,20 @@ def test_degenerate_instance_exits_3(workspace, tmp_path, capsys):
     write_matrix(dead_weights, np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]))
     code = run("prune", "--weights", dead_weights, "--gram", dead_gram, "--k", 2)
     assert code == 3
+
+
+@pytest.mark.parametrize("method", ["alps", "mp", "wanda"])
+@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
+def test_instance_beyond_float64_exits_3(tmp_path, capsys, method, c, g, message):
+    h, w_hat = scale_instance()
+    write_matrix(tmp_path / "h.amtx", g * h)
+    write_matrix(tmp_path / "w.amtx", c * w_hat)
+    code = run(
+        "prune", "--weights", tmp_path / "w.amtx", "--gram", tmp_path / "h.amtx",
+        "--k", 614, "--method", method,
+    )
+    assert code == 3
+    assert f"{message} float64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,12 @@ def test_theorem_constant_is_zero_without_gradient():
     assert theorem1_residual_bound(trace) == TheoremBound(c_hat=0.0, worst_ratio=0.0)
 
 
+def test_theorem_ratio_is_infinite_on_a_residual_without_gradient():
+    # C = 0 at g = 0, so any nonzero residual exceeds it without bound.
+    trace = IterTrace(records=[record(d_change=0.5)], h_spectral=1.0, g_norm=0.0)
+    assert theorem1_residual_bound(trace) == TheoremBound(c_hat=0.0, worst_ratio=math.inf)
+
+
 def test_theorem_overflow_is_vacuously_satisfied():
     records = [record(rho=1e-9, d_change=1e50, wd_gap=0.0) for _ in range(3)]
     out = theorem1_residual_bound(IterTrace(records=records, h_spectral=1e9, g_norm=1.0))

@@ -231,6 +231,11 @@ def test_layer_objective_zero_at_fixed_point():
     assert layer_objective(h, w, moved) == 0.0
 
 
+def test_layer_objective_rejects_misshapen_weights():
+    with pytest.raises(InvalidInputError, match=r"weights \(3, 3\) not shaped like \(3, 2\)"):
+        layer_objective(np.eye(3), np.ones((3, 2)), np.ones((3, 3)))
+
+
 @given(st.integers(0, 2**31 - 1))
 def test_layer_objective_never_negative(seed):
     rng = np.random.default_rng(seed)
@@ -286,7 +291,7 @@ def test_relative_error_degenerate_denominator():
     with pytest.raises(DegenerateInstanceError, match="energy of the dense weights underflows"):
         relative_error(h, 1e-170 * w_hat, 1e-170 * w_hat)
     for metric in (layer_objective, relative_error):
-        with pytest.raises(DegenerateInstanceError, match=r"gap, 0\.000e\+00, is not a normal"):
+        with pytest.raises(DegenerateInstanceError, match=r"gap underflows float64: 0\.000e\+00"):
             metric(h, 1e-170 * w_hat, 1e-170 * w)
 
 
@@ -296,11 +301,19 @@ def test_relative_error_rejects_an_energy_beyond_float64(c, g):
     # over it was NaN, without a warning.
     h, w_hat = scale_instance()
     w = np.where(np.abs(w_hat) > 1.0, c * w_hat, 0.0)
-    with pytest.raises(DegenerateInstanceError, match="not a normal float64"):
+    with pytest.raises(DegenerateInstanceError, match="overflows float64"):
         relative_error(g * h, c * w_hat, w)
     # The gap overflows too; layer_objective returned NaN or inf.
-    with pytest.raises(DegenerateInstanceError, match="gap, .*, is not a normal float64"):
+    with pytest.raises(DegenerateInstanceError, match="reconstruction gap overflows float64"):
         layer_objective(g * h, c * w_hat, w)
+
+
+@pytest.mark.parametrize("metric", [layer_objective, relative_error])
+def test_metrics_reject_a_difference_beyond_float64(metric):
+    # W_hat - W overflows to inf, and H times it makes 0 * inf = NaN: the
+    # product warned before the range check.
+    with pytest.raises(DegenerateInstanceError, match="reconstruction gap overflows float64"):
+        metric(np.eye(2), [[1e308], [1.0]], [[-1e308], [1.0]])
 
 
 def test_relative_error_uses_the_checked_arrays():

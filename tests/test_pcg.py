@@ -228,6 +228,11 @@ def test_shape_mismatch_rejected():
         )
 
 
+def test_misshapen_warm_start_rejected():
+    with pytest.raises(InvalidInputError, match=r"warm start \(2, 2\) not shaped like \(3, 2\)"):
+        pcg_refine(np.eye(3), np.ones((3, 2)), np.ones((3, 2), bool), np.zeros((2, 2)))
+
+
 def test_stats_report_final_relative_residual():
     rng = np.random.default_rng(7)
     h, w_hat = random_problem(rng, 6, 3)
