@@ -51,9 +51,9 @@ stops when D' keeps the current support, refines on the support of D'
 in D' itself, and keeps the result only if the objective strictly
 falls. With step 1 / lambda_max a round never raises the objective, and
 at a fixed point the rounds cost one product and one projection.
-linalg.gap_form gives each objective and descent and frees W_hat - W;
-only admm_solve checks inputs, through linalg.check_instance, and
-preprocess and the polish trust them.
+linalg.gap_form gives each objective, range-checked, and descent, and
+frees W_hat - W; only admm_solve checks inputs, through
+linalg.check_instance, and preprocess and the polish trust them.
 """
 
 from __future__ import annotations
@@ -255,7 +255,8 @@ def admm_solve(
     solve ran, polish rounds included. Raises InvalidInputError when
     max_iters is not a positive integer, and DegenerateInstanceError
     where preprocess does, where linalg.check_range does on ||H W_hat||^2
-    of the rescaled problem, and when W_hat is nonzero only on dead channels.
+    of the rescaled problem or on a gap, and when W_hat is nonzero only on
+    dead channels.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import IterTrace, TheoremBound, Violation
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
-from .linalg import as_matrix, check_instance, gap_form, output_energy
+from .linalg import as_matrix, check_instance, check_range, gap_form, output_energy
 from .projections import (
     SparsityBudget,
     Unstructured,
@@ -60,12 +60,13 @@ class PruneSolution:
 def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
     """Package w with its support, metrics when h is given, and extra fields.
 
-    Checks nothing: every caller builds w itself from arrays it checked.
+    Checks no input: every caller builds w itself from arrays it checked.
+    The metrics raise where gap_form and output_energy do.
     """
     objective = rel = None
     if h is not None:
         objective = max(gap_form(h, w_hat, w)[1], 0.0)
-        rel = objective / output_energy(h, w_hat)
+        rel = objective / output_energy(h, w_hat)[1]
     return PruneSolution(w, w != 0.0, objective, rel, method, **extra)
 
 
@@ -76,10 +77,16 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
     it. For each output column solves the normal equations of the layer
     objective restricted to that column's support rows. Columns with an
     empty support come back zero. A singular restricted system raises
-    DegenerateSupportError naming the offending column.
+    DegenerateSupportError naming the offending column; H W_hat past
+    float64's range raises DegenerateInstanceError first.
     """
     h, w_hat = check_instance(h, w_hat)
-    return _backsolve(h, h @ w_hat, check_support(support, w_hat.shape))
+    support = check_support(support, w_hat.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = h @ w_hat
+    # An entry past float64's range would be blamed on the support below.
+    check_range(max(g.max(), -g.min()), None, "H W_hat")
+    return _backsolve(h, g, support)
 
 
 def _backsolve(h: np.ndarray, g: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -119,9 +126,7 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
     budget_size(Unstructured(k), w_hat.shape)
     # The energy is the objective of W = 0, so it bounds every candidate's
     # optimum: if it is a normal float64, no candidate objective overflows.
-    output_energy(h, w_hat)
-
-    g = h @ w_hat
+    g = output_energy(h, w_hat)[0]
     best_w = None
     best_obj = np.inf
     for indices in combinations(range(size), k):
@@ -172,7 +177,7 @@ def activation_weighted_prune(w_hat, h, budget: SparsityBudget) -> PruneSolution
     """
     h, w_hat = check_instance(h, w_hat)
     channel_norms = np.sqrt(np.clip(np.diag(h), 0.0, None))
-    # A score past float64's range is inf; build_solution's energy check raises.
+    # A score past float64's range is inf; build_solution's gap or energy raises.
     with np.errstate(over="ignore"):
         scores = np.abs(w_hat) * channel_norms[:, None]
     return _keep_best(scores, w_hat, h, budget, "wanda")

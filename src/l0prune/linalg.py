@@ -142,18 +142,28 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
 
 
-def check_range(value, operand: np.ndarray, name: str) -> float:
+def check_range(value, operand: np.ndarray | None, name: str) -> float:
     """The one float64-range rule for a squared norm or quadratic form.
 
     value is formed from operand. Raises DegenerateInstanceError when it is
     not finite, or below TINY in magnitude while operand is nonzero: then
-    it has lost its bits, while zero from a zero operand is exact.
+    it has lost its bits, while zero from a zero operand is exact. With
+    operand None only the first side runs, for a value whose smallness is
+    no loss: a refinement's residual or curvature, or a largest entry.
     """
     if not np.isfinite(value):
         raise DegenerateInstanceError(f"{name} overflows float64")
-    if abs(value) < TINY and operand.any():
+    if operand is not None and abs(value) < TINY and operand.any():
         raise DegenerateInstanceError(f"{name} underflows float64: {value:.3e}")
     return float(value)
+
+
+def quadratic_form(h: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """The one Gram form: H X and unclamped tr(X^T H X), through check_range as name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_x = h @ x
+        form = np.vdot(x, h_x)
+    return h_x, check_range(form, h_x, name)
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,21 +199,15 @@ def _checked_objective(h, w_hat, w) -> tuple[float, np.ndarray, np.ndarray]:
     w = as_matrix(w, "weights")
     if w.shape != w_hat.shape:
         raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
-    h_delta, form = gap_form(h, w_hat, w)
-    check_range(form, h_delta, "reconstruction gap")
     # The quadratic form can go mildly negative from rounding on PSD input.
-    return max(form, 0.0), h, w_hat
+    return max(gap_form(h, w_hat, w)[1], 0.0), h, w_hat
 
 
 def gap_form(h, w_hat, w) -> tuple[np.ndarray, float]:
-    """H (W_hat - W) and unclamped tr((W_hat - W)^T H (W_hat - W)), unchecked.
-
-    Past float64's range they overflow to inf or NaN without a warning.
-    """
+    """quadratic_form of W_hat - W: the reconstruction gap."""
     with np.errstate(over="ignore", invalid="ignore"):
         delta = w_hat - w
-        h_delta = h @ delta
-    return h_delta, float(np.vdot(delta, h_delta))
+    return quadratic_form(h, delta, "reconstruction gap")
 
 
 def relative_error(h, w_hat, w) -> float:
@@ -214,18 +218,12 @@ def relative_error(h, w_hat, w) -> float:
     means the instance carries no signal to preserve.
     """
     objective, h, w_hat = _checked_objective(h, w_hat, w)
-    return objective / output_energy(h, w_hat)
+    return objective / output_energy(h, w_hat)[1]
 
 
-def output_energy(h: np.ndarray, w_hat: np.ndarray) -> float:
-    """tr(W_hat^T H W_hat) for arrays the caller has already checked.
-
-    Raises DegenerateInstanceError where check_range does on it, formed
-    from H W_hat, and when it is not positive: no signal to preserve.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_w = h @ w_hat
-    energy = check_range(np.vdot(w_hat, h_w), h_w, "output energy of the dense weights")
+def output_energy(h: np.ndarray, w_hat: np.ndarray) -> tuple[np.ndarray, float]:
+    """quadratic_form of W_hat, raising also on no signal to preserve: a zero energy."""
+    h_w, energy = quadratic_form(h, w_hat, "output energy of the dense weights")
     if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
-    return energy
+    return h_w, energy

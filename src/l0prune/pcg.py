@@ -16,10 +16,12 @@ calls the kernel directly, from its polish, on arrays it rescaled itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import as_matrix, check_instance, preprocess
+from .linalg import as_matrix, check_instance, check_range, preprocess
 from .projections import check_support
 
 # A starting residual at or below START_RTOL * ||W_hat|| counts as
@@ -44,8 +46,9 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = CG_ITERS) -> np.ndarray:
     Returns the refined weights, supported on the mask, with w0's rows on
     the dead channels of linalg.preprocess; w0 is left as it was. Raises
     DegenerateInstanceError where preprocess does (an all-zero Gram
-    diagonal, weights beyond float64's range), and on vanishing curvature
-    with the residual above tolerance (a singular restricted system).
+    diagonal, weights beyond float64's range), on a residual or curvature
+    that overflows float64, and on vanishing curvature with the residual
+    above tolerance (a singular restricted system).
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
@@ -87,20 +90,22 @@ def support_cg(
     takes the steps alpha H p and alpha p. Raises DegenerateInstanceError
     as pcg_refine documents.
     """
-    r = h @ (w_hat - w)
-    r *= mask
-    r0_norm = float(np.linalg.norm(r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = h @ (w_hat - w)
+        r *= mask
+    # A small residual or curvature is progress, so only overflow raises.
+    rr = check_range(np.vdot(r, r), None, "squared norm of the refinement's residual")
+    r0_norm = math.sqrt(rr)
     if r0_norm <= START_RTOL * np.linalg.norm(w_hat):
         return w, 0
 
     p = r.copy()
-    rr = np.vdot(r, r)
     hp = np.empty_like(w)
     rel_residual = 1.0
     iterations = 0
     for _ in range(max_iters):
         np.dot(h, p, out=hp)
-        denom = np.vdot(p, hp)
+        denom = check_range(np.vdot(p, hp), None, "curvature along the search direction")
         if denom <= 0.0:
             raise DegenerateInstanceError(
                 f"curvature {denom:.3e} along search direction with residual "

@@ -56,6 +56,16 @@ def scale_instance():
     return h, rng.standard_normal((64, 32))
 
 
+def gap_overflow_instance():
+    """A 2x1 (gram, dense weights) pair, the unit one scaled by g = 1e300, c = 1e5.
+
+    Its energy, 2e300, is in range, but keeping either weight at its dense
+    value leaves a gap of 1e310. Returns the unit pair and the two scales.
+    """
+    r = 1.0 - 1e-10
+    return np.array([[1.0, -r], [-r, 1.0]]), np.array([[1.0], [1.0]]), 1e300, 1e5
+
+
 # Weights scaled by c, or the Gram by g, past float64's range: the squares
 # overflow (c = 1e154, g = 1e305) or fall below the smallest normal float64
 # (c = 1e-160, and c = 1e-200, where they vanish although W_hat is nonzero).

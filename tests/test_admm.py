@@ -21,6 +21,7 @@ from l0prune import (
     Unstructured,
     activation_weighted_prune,
     admm_solve,
+    backsolve_exact,
     brute_force_support,
     budget_from_sparsity,
     layer_objective,
@@ -41,14 +42,15 @@ from l0prune.admm import (
     preprocess,
     rho_update,
 )
+from l0prune.baselines import build_solution
 from l0prune.diagnostics import check_lemma1, check_lemma2
 from l0prune.linalg import eigendecompose
 from l0prune.pcg import CG_ITERS
 from l0prune.projections import budget_mask, budget_size, project, support_change
 
 from conftest import (
-    BEYOND_FLOAT64, GRAM_ENTRIES, correlated_activations, count_calls, random_problem,
-    random_psd, scale_instance,
+    BEYOND_FLOAT64, GRAM_ENTRIES, correlated_activations, count_calls, gap_overflow_instance,
+    random_problem, random_psd, scale_instance,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -602,6 +604,67 @@ def test_metrics_reject_an_instance_beyond_float64(entry, c, g, message):
     h, w_hat = scale_instance()
     with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
         GRAM_ENTRIES[entry](g * h, c * w_hat)
+
+
+# Each solver that reports metrics, as a function of (h, w_hat, k); oracle
+# --pruned builds backsolve_exact's weights on a support into a solution.
+PRODUCERS = {
+    "admm-topk": lambda h, w, k: admm_solve(h, w, Unstructured(k)),
+    "admm-2:4": lambda h, w, k: admm_solve(h, w, NM(2, 4)),
+    "mp": lambda h, w, k: magnitude_prune(w, Unstructured(k), gram=h),
+    "wanda": lambda h, w, k: activation_weighted_prune(w, h, Unstructured(k)),
+    "backsolve": lambda h, w, k: build_solution(
+        backsolve_exact(h, w, magnitude_prune(w, Unstructured(k)).support), h, w, "backsolve"
+    ),
+    "brute_force": lambda h, w, k: brute_force_support(h, w, k),
+}
+
+
+def _agreement_cases():
+    # The 64x32 layer at weight scales across admm_solve's edges (for the
+    # gap below, for ||G|| above); brute force on a 4x3 corner of it; and
+    # the 2x1 instance whose gap alone leaves float64.
+    h, w_hat = scale_instance()
+    for c in (4.6e-157, 1e-156, 1.9e-156, 1.0, 2.5e151):
+        for name in ("admm-topk", "admm-2:4", "mp", "wanda", "backsolve"):
+            yield pytest.param(name, h, w_hat, 614, 1.0, c, id=f"{name}-64x32-{c:g}")
+        yield pytest.param(
+            "brute_force", h[:4, :4], w_hat[:4, :3], 4, 1.0, c, id=f"brute_force-4x3-{c:g}"
+        )
+    h, w_hat, g, c = gap_overflow_instance()
+    for name in ("mp", "wanda", "backsolve", "brute_force"):
+        yield pytest.param(name, h, w_hat, 1, g, c, id=f"{name}-2x1")
+
+
+@pytest.mark.parametrize("producer, h, w_hat, k, g, c", _agreement_cases())
+def test_solvers_report_what_the_metrics_measure(producer, h, w_hat, k, g, c):
+    # Every solver either reports the gap and error the metrics give its
+    # weights, bit for bit, or raises where the metrics refuse its answer,
+    # taken as c times its answer on the unscaled instance. The baselines
+    # reported inf on the 2x1 instance, and admm_solve 6.47e-309 at 1e-156,
+    # where relative_error on its weights raised.
+    produce = PRODUCERS[producer]
+    try:
+        sol = produce(g * h, c * w_hat, k)
+    except DegenerateInstanceError as exc:
+        assert "float64" in str(exc)
+        with pytest.raises(DegenerateInstanceError, match="float64"):
+            linalg.relative_error(g * h, c * w_hat, c * produce(h, w_hat, k).w)
+        return
+    assert sol.objective == layer_objective(g * h, c * w_hat, sol.w)
+    assert sol.rel_error == linalg.relative_error(g * h, c * w_hat, sol.w)
+
+
+def test_solve_refuses_the_2x1_instance_on_its_rescaled_weights():
+    # The rescaled weights' squared norm, 2e310, overflows before any gap
+    # is formed, although the optimal gap, 2e300, is in range.
+    h, w_hat, g, c = gap_overflow_instance()
+    with pytest.raises(
+        DegenerateInstanceError, match="squared norm of the rescaled dense weights overflows"
+    ):
+        admm_solve(g * h, c * w_hat, Unstructured(1))
+    w = c * admm_solve(h, w_hat, Unstructured(1)).w
+    assert math.isfinite(linalg.relative_error(g * h, c * w_hat, w))
 
 
 def test_solve_rejects_a_gradient_below_float64():

@@ -185,3 +185,30 @@ def test_float64_range_rule_lives_in_check_range():
                 float64_raises.add((path.stem, owner))
     assert tiny == {("linalg", None), ("linalg", "check_range")}
     assert float64_raises == {("linalg", "check_range")}
+
+
+# Where the range rule runs: the rescaling, the one Gram form kernel
+# (gap and energy), the solver's ||G||^2, the refinement's residual and
+# curvature, and the exact oracle's H W_hat.
+RANGE_RULE_SITES = {
+    "linalg.preprocess", "linalg.quadratic_form", "admm.admm_solve",
+    "pcg.support_cg", "baselines.backsolve_exact",
+}
+
+
+def test_range_rule_runs_where_the_readme_says():
+    # The functions that call check_range are exactly these, and README's
+    # float64 section names each, so moving or dropping one is deliberate.
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _nodes_by_function(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "check_range" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                callers.add(f"{path.stem}.{owner}")
+    assert callers == RANGE_RULE_SITES
+    text = README.read_text()
+    start = text.index("## Float64 range")
+    section = text[start:text.index("\n## ", start + 1)]
+    for site in RANGE_RULE_SITES:
+        assert f"`{site}`" in section, site

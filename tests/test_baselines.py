@@ -104,6 +104,25 @@ def test_backsolve_support_must_be_boolean_and_shaped_like_weights(support):
         backsolve_exact(np.eye(3), np.ones((3, 2)), support)
 
 
+@pytest.mark.parametrize("c, g", [(1e307, 1.0), (1e160, 1e300)])
+def test_backsolve_rejects_h_w_hat_beyond_float64(c, g):
+    # H W_hat overflowed with a warning, and the restricted solve then
+    # blamed the support: "singular restricted system in column 0".
+    h, w_hat = scale_instance()
+    with pytest.raises(DegenerateInstanceError, match="^H W_hat overflows float64$") as info:
+        backsolve_exact(g * h, c * w_hat, np.ones(w_hat.shape, bool))
+    assert not isinstance(info.value, DegenerateSupportError)
+
+
+def test_backsolve_stays_exact_while_h_w_hat_is_finite():
+    # It squares nothing: at 1e305 every square overflows, H W_hat does not.
+    h, w_hat = scale_instance()
+    support = np.ones(w_hat.shape, bool)
+    expected = backsolve_exact(h, w_hat, support)
+    out = backsolve_exact(h, 1e305 * w_hat, support)
+    assert np.linalg.norm(out / 1e305 - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 # --- brute_force_support ---
 
 
@@ -280,10 +299,9 @@ def test_activation_weighted_matches_score_oracle():
 @pytest.mark.parametrize("c, g", [(1e154, 1.0), (1.0, 1e305)])
 def test_activation_weighted_rejects_an_energy_beyond_float64(c, g):
     # Its rel_error divided by an energy that overflowed: NaN, silently.
+    # The kept weights' gap overflows too, and is checked first.
     h, w_hat = scale_instance()
-    with pytest.raises(
-        DegenerateInstanceError, match="energy of the dense weights overflows float64"
-    ):
+    with pytest.raises(DegenerateInstanceError, match="reconstruction gap overflows float64"):
         activation_weighted_prune(c * w_hat, g * h, Unstructured(614))
 
 

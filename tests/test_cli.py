@@ -25,7 +25,9 @@ from l0prune import (
 from l0prune import linalg, matrixio
 from l0prune.cli import _budget_block, main
 
-from conftest import BEYOND_FLOAT64, correlated_activations, count_calls, scale_instance
+from conftest import (
+    BEYOND_FLOAT64, correlated_activations, count_calls, gap_overflow_instance, scale_instance,
+)
 
 # bench/run.py and other readers parse the report; keep its keys stable.
 REPORT_KEYS = [
@@ -491,6 +493,39 @@ def test_instance_beyond_float64_exits_3(tmp_path, capsys, method, c, g, message
     )
     assert code == 3
     assert f"{message} float64" in capsys.readouterr().err
+
+
+def strict_json(text):
+    """json.loads refusing Infinity and NaN, which Python writes but JSON lacks."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("method", ["mp", "wanda"])
+def test_gap_beyond_float64_exits_3_with_no_report(tmp_path, capsys, method):
+    # The energy is in range but the kept weights' gap is 1e310: the run
+    # exited 0 and wrote "objective": Infinity, which is not JSON.
+    h, w_hat, g, c = gap_overflow_instance()
+    for name, (gram, weights) in {"unit": (h, w_hat), "scaled": (g * h, c * w_hat)}.items():
+        write_matrix(tmp_path / f"h_{name}.amtx", gram)
+        write_matrix(tmp_path / f"w_{name}.amtx", weights)
+
+    def prune(name):
+        return run(
+            "prune", "--weights", tmp_path / f"w_{name}.amtx", "--gram",
+            tmp_path / f"h_{name}.amtx", "--k", 1, "--method", method,
+            "--report", tmp_path / f"{name}.json",
+        )
+
+    assert prune("scaled") == 3
+    assert capsys.readouterr().err == "error: reconstruction gap overflows float64\n"
+    assert not (tmp_path / "scaled.json").exists()
+    assert prune("unit") == 0
+    report = strict_json((tmp_path / "unit.json").read_text())
+    assert report["objective"] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,35 @@ def test_refine_rejects_an_instance_beyond_float64(c, g, message):
         pcg_refine(g * h, c * w_hat, support, w0)
 
 
+@pytest.mark.parametrize(
+    "c, message",
+    [(c, "curvature along the search direction") for c in (1.4e151, 2e151, 2.5e151)]
+    + [(c, "squared norm of the refinement's residual") for c in (2.6e151, 3.9e151)],
+)
+def test_refine_rejects_a_residual_or_curvature_beyond_float64(c, message):
+    # Below preprocess's edge, from a cold start on the full support:
+    # p^T H p overflowed to inf, so the step was zero and the zero start
+    # came back, 100% off, with no warning; from 2.6e151 the first
+    # residual's squared norm overflowed too, and the weights came back
+    # NaN after overflow warnings.
+    h, w_hat = scale_instance()
+    with pytest.raises(DegenerateInstanceError, match=f"^{message} overflows float64$"):
+        pcg_refine(h, c * w_hat, np.ones(w_hat.shape, bool), np.zeros(w_hat.shape))
+
+
+@pytest.mark.parametrize("c, kept", [(4.6e-157, 2048), (1.3e151, 2048), (2.6e151, 614)])
+def test_refine_scales_up_to_its_edges(c, kept):
+    # A tiny residual or curvature is progress, not lost bits, so only
+    # their overflow raises: at 4.6e-157 the curvatures fall below the
+    # smallest normal float64, and the magnitude support keeps them finite
+    # to 2.6e151.
+    h, w_hat = scale_instance()
+    support = mp_support(w_hat, kept)
+    expected = pcg_refine(h, w_hat, support, np.zeros(w_hat.shape))
+    out = pcg_refine(h, c * w_hat, support, np.zeros(w_hat.shape))
+    assert np.linalg.norm(out / c - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_refine_leaves_dead_channels_at_the_warm_start():
     # The refinement runs on the solver's rescaling, which sets aside a
     # channel whose Gram diagonal is at most DEAD_DIAG_RTOL of the largest.
