@@ -51,8 +51,9 @@ stops when D' keeps the current support, refines on the support of D'
 in D' itself, and keeps the result only if the objective strictly
 falls. With step 1 / lambda_max a round never raises the objective, and
 at a fixed point the rounds cost one product and one projection.
-linalg.gap_form gives each objective, range-checked, and descent, and
-frees W_hat - W; only admm_solve checks inputs, through
+linalg.quadratic_form gives each objective and descent, unchecked: they
+only order candidates, and build_solution range-checks the answer's gap
+on the caller's arrays. Only admm_solve checks inputs, through
 linalg.check_instance, and preprocess and the polish trust them.
 """
 
@@ -69,7 +70,9 @@ from .diagnostics import (
     IterRecord, IterTrace, check_lemma1, check_lemma2, theorem1_residual_bound,
 )
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import ScaledProblem, check_instance, check_range, eigendecompose, gap_form, preprocess
+from .linalg import (
+    ScaledProblem, check_instance, check_range, eigendecompose, preprocess, quadratic_form,
+)
 from .pcg import CG_ITERS, check_max_iters, support_cg
 from .projections import (
     SparsityBudget, Unstructured, budget_size, project, support_change,
@@ -216,7 +219,7 @@ def polish(
     mask = d != 0.0
     w, cg_iters = support_cg(h, w_hat, mask, d, CG_ITERS)
     # H (W_hat - W) is minus half the objective's gradient.
-    descent, objective = gap_form(h, w_hat, w)
+    descent, objective = quadratic_form(h, w_hat - w)
     rounds = 0
     for _ in range(max_iters):
         # The step runs in descent's buffer, released before the
@@ -230,7 +233,7 @@ def polish(
             break
         candidate, iters = support_cg(h, w_hat, d_mask, d, CG_ITERS)
         cg_iters += iters
-        descent, candidate_objective = gap_form(h, w_hat, candidate)
+        descent, candidate_objective = quadratic_form(h, w_hat - candidate)
         if not candidate_objective < objective:
             break
         w, mask, objective = candidate, d_mask, candidate_objective
@@ -255,8 +258,8 @@ def admm_solve(
     solve ran, polish rounds included. Raises InvalidInputError when
     max_iters is not a positive integer, and DegenerateInstanceError
     where preprocess does, where linalg.check_range does on ||H W_hat||^2
-    of the rescaled problem or on a gap, and when W_hat is nonzero only on
-    dead channels.
+    of the rescaled problem, where build_solution's metrics do on the
+    answer, and when W_hat is nonzero only on dead channels.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)

@@ -18,7 +18,9 @@ import numpy as np
 
 from .diagnostics import IterTrace, TheoremBound, Violation
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
-from .linalg import as_matrix, check_instance, check_range, gap_form, output_energy
+from .linalg import (
+    as_matrix, check_finite, check_instance, output_energy, quadratic_form, reconstruction_gap,
+)
 from .projections import (
     SparsityBudget,
     Unstructured,
@@ -61,11 +63,11 @@ def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
     """Package w with its support, metrics when h is given, and extra fields.
 
     Checks no input: every caller builds w itself from arrays it checked.
-    The metrics raise where gap_form and output_energy do.
+    The metrics raise where reconstruction_gap and output_energy do.
     """
     objective = rel = None
     if h is not None:
-        objective = max(gap_form(h, w_hat, w)[1], 0.0)
+        objective = reconstruction_gap(h, w_hat, w)
         rel = objective / output_energy(h, w_hat)[1]
     return PruneSolution(w, w != 0.0, objective, rel, method, **extra)
 
@@ -85,7 +87,7 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         g = h @ w_hat
     # An entry past float64's range would be blamed on the support below.
-    check_range(max(g.max(), -g.min()), None, "H W_hat")
+    check_finite(g, "H W_hat")
     return _backsolve(h, g, support)
 
 
@@ -137,7 +139,7 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
         except DegenerateSupportError:
             continue
         # Clamped at zero as layer_objective clamps it.
-        obj = max(gap_form(h, w_hat, w)[1], 0.0)
+        obj = max(quadratic_form(h, w_hat - w)[1], 0.0)
         if obj < best_obj:
             best_obj = obj
             best_w = w

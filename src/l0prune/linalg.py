@@ -142,28 +142,42 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
 
 
-def check_range(value, operand: np.ndarray | None, name: str) -> float:
+def check_finite(x, name: str) -> None:
+    """The overflow side of the float64-range rule, alone.
+
+    Raises DegenerateInstanceError when x, a value or an array, is not
+    all finite: for values whose smallness is no loss, as a refinement's
+    residual or curvature, or an operand of an exact solve.
+    """
+    if not np.isfinite(x).all():
+        raise DegenerateInstanceError(f"{name} overflows float64")
+
+
+def check_range(value, operand: np.ndarray, name: str) -> float:
     """The one float64-range rule for a squared norm or quadratic form.
 
-    value is formed from operand. Raises DegenerateInstanceError when it is
-    not finite, or below TINY in magnitude while operand is nonzero: then
-    it has lost its bits, while zero from a zero operand is exact. With
-    operand None only the first side runs, for a value whose smallness is
-    no loss: a refinement's residual or curvature, or a largest entry.
+    value is formed from operand. Raises DegenerateInstanceError where
+    check_finite does on it, or when it is below TINY in magnitude while
+    operand is nonzero: then it has lost its bits, while zero from a zero
+    operand is exact.
     """
-    if not np.isfinite(value):
-        raise DegenerateInstanceError(f"{name} overflows float64")
-    if operand is not None and abs(value) < TINY and operand.any():
+    check_finite(value, name)
+    if abs(value) < TINY and operand.any():
         raise DegenerateInstanceError(f"{name} underflows float64: {value:.3e}")
     return float(value)
 
 
-def quadratic_form(h: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """The one Gram form: H X and unclamped tr(X^T H X), through check_range as name."""
+def quadratic_form(h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The one Gram form: H X and unclamped tr(X^T H X), unchecked.
+
+    Past float64's range they overflow to inf or NaN without a warning.
+    A reported value goes through check_range in reconstruction_gap or
+    output_energy; the polish and the brute-force search only order
+    candidates by it.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         h_x = h @ x
-        form = np.vdot(x, h_x)
-    return h_x, check_range(form, h_x, name)
+        return h_x, float(np.vdot(x, h_x))
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,15 +213,20 @@ def _checked_objective(h, w_hat, w) -> tuple[float, np.ndarray, np.ndarray]:
     w = as_matrix(w, "weights")
     if w.shape != w_hat.shape:
         raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
-    # The quadratic form can go mildly negative from rounding on PSD input.
-    return max(gap_form(h, w_hat, w)[1], 0.0), h, w_hat
+    return reconstruction_gap(h, w_hat, w), h, w_hat
 
 
-def gap_form(h, w_hat, w) -> tuple[np.ndarray, float]:
-    """quadratic_form of W_hat - W: the reconstruction gap."""
+def reconstruction_gap(h, w_hat, w) -> float:
+    """tr((W_hat - W)^T H (W_hat - W)), clamped at zero, for checked arrays.
+
+    Raises DegenerateInstanceError where check_range does on it, formed
+    from H (W_hat - W).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         delta = w_hat - w
-    return quadratic_form(h, delta, "reconstruction gap")
+    h_delta, form = quadratic_form(h, delta)
+    # The quadratic form can go mildly negative from rounding on PSD input.
+    return max(check_range(form, h_delta, "reconstruction gap"), 0.0)
 
 
 def relative_error(h, w_hat, w) -> float:
@@ -222,8 +241,13 @@ def relative_error(h, w_hat, w) -> float:
 
 
 def output_energy(h: np.ndarray, w_hat: np.ndarray) -> tuple[np.ndarray, float]:
-    """quadratic_form of W_hat, raising also on no signal to preserve: a zero energy."""
-    h_w, energy = quadratic_form(h, w_hat, "output energy of the dense weights")
+    """H W_hat and tr(W_hat^T H W_hat), for arrays already checked.
+
+    Raises DegenerateInstanceError where check_range does on the energy,
+    formed from H W_hat, and when it is not positive: no signal to preserve.
+    """
+    h_w, energy = quadratic_form(h, w_hat)
+    energy = check_range(energy, h_w, "output energy of the dense weights")
     if energy <= 0.0:
         raise DegenerateInstanceError("dense weights have zero output energy")
     return h_w, energy

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import as_matrix, check_instance, check_range, preprocess
+from .linalg import as_matrix, check_finite, check_instance, preprocess
 from .projections import check_support
 
 # A starting residual at or below START_RTOL * ||W_hat|| counts as
@@ -94,7 +94,8 @@ def support_cg(
         r = h @ (w_hat - w)
         r *= mask
     # A small residual or curvature is progress, so only overflow raises.
-    rr = check_range(np.vdot(r, r), None, "squared norm of the refinement's residual")
+    rr = np.vdot(r, r)
+    check_finite(rr, "squared norm of the refinement's residual")
     r0_norm = math.sqrt(rr)
     if r0_norm <= START_RTOL * np.linalg.norm(w_hat):
         return w, 0
@@ -105,7 +106,8 @@ def support_cg(
     iterations = 0
     for _ in range(max_iters):
         np.dot(h, p, out=hp)
-        denom = check_range(np.vdot(p, hp), None, "curvature along the search direction")
+        denom = np.vdot(p, hp)
+        check_finite(denom, "curvature along the search direction")
         if denom <= 0.0:
             raise DegenerateInstanceError(
                 f"curvature {denom:.3e} along search direction with residual "

@@ -56,6 +56,21 @@ def scale_instance():
     return h, rng.standard_normal((64, 32))
 
 
+def dead_channel_instance():
+    """The scale instance with four dead channels appended, each weight 1e8.
+
+    Their Gram diagonal, 1e-13 of the largest, is below DEAD_DIAG_RTOL, so
+    linalg.preprocess zeroes them: the rescaled problem's gap leaves out
+    what they contribute to the caller's gap.
+    """
+    h, w_hat = scale_instance()
+    n, m = w_hat.shape
+    padded = np.zeros((n + 4, n + 4))
+    padded[:n, :n] = h
+    padded[range(n, n + 4), range(n, n + 4)] = 1e-13 * np.diag(h).max()
+    return padded, np.vstack([w_hat, np.full((4, m), 1e8)])
+
+
 def gap_overflow_instance():
     """A 2x1 (gram, dense weights) pair, the unit one scaled by g = 1e300, c = 1e5.
 

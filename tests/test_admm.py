@@ -49,8 +49,8 @@ from l0prune.pcg import CG_ITERS
 from l0prune.projections import budget_mask, budget_size, project, support_change
 
 from conftest import (
-    BEYOND_FLOAT64, GRAM_ENTRIES, correlated_activations, count_calls, gap_overflow_instance,
-    random_problem, random_psd, scale_instance,
+    BEYOND_FLOAT64, GRAM_ENTRIES, correlated_activations, count_calls, dead_channel_instance,
+    gap_overflow_instance, random_problem, random_psd, scale_instance,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -622,8 +622,9 @@ PRODUCERS = {
 
 def _agreement_cases():
     # The 64x32 layer at weight scales across admm_solve's edges (for the
-    # gap below, for ||G|| above); brute force on a 4x3 corner of it; and
-    # the 2x1 instance whose gap alone leaves float64.
+    # gap below, for ||G|| above); brute force on a 4x3 corner of it; the
+    # layer with dead channels; and the 2x1 instance whose gap alone
+    # leaves float64.
     h, w_hat = scale_instance()
     for c in (4.6e-157, 1e-156, 1.9e-156, 1.0, 2.5e151):
         for name in ("admm-topk", "admm-2:4", "mp", "wanda", "backsolve"):
@@ -631,6 +632,12 @@ def _agreement_cases():
         yield pytest.param(
             "brute_force", h[:4, :4], w_hat[:4, :3], 4, 1.0, c, id=f"brute_force-4x3-{c:g}"
         )
+    # With dead channels the caller's gap at 1e-156 is normal although
+    # the rescaled problem's, which leaves them out, is subnormal.
+    h, w_hat = dead_channel_instance()
+    for c in (1e-156, 1.0):
+        for name in ("admm-topk", "admm-2:4", "mp", "wanda", "backsolve"):
+            yield pytest.param(name, h, w_hat, 614, 1.0, c, id=f"{name}-68x32-dead-{c:g}")
     h, w_hat, g, c = gap_overflow_instance()
     for name in ("mp", "wanda", "backsolve", "brute_force"):
         yield pytest.param(name, h, w_hat, 1, g, c, id=f"{name}-2x1")
@@ -642,7 +649,8 @@ def test_solvers_report_what_the_metrics_measure(producer, h, w_hat, k, g, c):
     # weights, bit for bit, or raises where the metrics refuse its answer,
     # taken as c times its answer on the unscaled instance. The baselines
     # reported inf on the 2x1 instance, and admm_solve 6.47e-309 at 1e-156,
-    # where relative_error on its weights raised.
+    # where relative_error on its weights raised; a check of the polish's
+    # rescaled gap raised on the dead-channel layer where it did not.
     produce = PRODUCERS[producer]
     try:
         sol = produce(g * h, c * w_hat, k)

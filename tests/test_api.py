@@ -168,8 +168,9 @@ def _nodes_by_function(tree):
 def test_float64_range_rule_lives_in_check_range():
     # One rule decides whether a squared norm or form is within float64's
     # range, with two message shapes: "<name> overflows float64" and
-    # "<name> underflows float64: <value>". TINY, its threshold, is named
-    # only where linalg defines it and in check_range.
+    # "<name> underflows float64: <value>"; check_finite, which check_range
+    # runs, holds the first. TINY, its threshold, is named only where
+    # linalg defines it and in check_range.
     tiny, float64_raises = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
@@ -184,31 +185,37 @@ def test_float64_range_rule_lives_in_check_range():
             ):
                 float64_raises.add((path.stem, owner))
     assert tiny == {("linalg", None), ("linalg", "check_range")}
-    assert float64_raises == {("linalg", "check_range")}
+    assert float64_raises == {("linalg", "check_range"), ("linalg", "check_finite")}
 
 
-# Where the range rule runs: the rescaling, the one Gram form kernel
-# (gap and energy), the solver's ||G||^2, the refinement's residual and
-# curvature, and the exact oracle's H W_hat.
+# Where the range rule runs. Both sides: the rescaling, the solver's
+# ||G||^2, and the gap and the energy a result reports. The overflow side
+# alone, check_finite (which check_range also runs): the refinement's
+# residual and curvature, and the exact oracle's H W_hat.
 RANGE_RULE_SITES = {
-    "linalg.preprocess", "linalg.quadratic_form", "admm.admm_solve",
-    "pcg.support_cg", "baselines.backsolve_exact",
+    "check_range": {
+        "linalg.preprocess", "admm.admm_solve", "linalg.reconstruction_gap",
+        "linalg.output_energy",
+    },
+    "check_finite": {"linalg.check_range", "pcg.support_cg", "baselines.backsolve_exact"},
 }
 
 
 def test_range_rule_runs_where_the_readme_says():
-    # The functions that call check_range are exactly these, and README's
-    # float64 section names each, so moving or dropping one is deliberate.
-    callers = set()
+    # The functions that call each side of the rule are exactly these, and
+    # README's float64 section names each, so moving or dropping one is
+    # deliberate.
+    callers = {rule: set() for rule in RANGE_RULE_SITES}
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, node in _nodes_by_function(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and "check_range" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
-            ):
-                callers.add(f"{path.stem}.{owner}")
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in callers:
+                callers[called].add(f"{path.stem}.{owner}")
     assert callers == RANGE_RULE_SITES
     text = README.read_text()
     start = text.index("## Float64 range")
     section = text[start:text.index("\n## ", start + 1)]
-    for site in RANGE_RULE_SITES:
+    for site in set().union(*RANGE_RULE_SITES.values()):
         assert f"`{site}`" in section, site
