@@ -13,7 +13,7 @@ and MAX_ITERS (admm_solve's default max_iters) in l0prune.admm, and the
 refinement cap CG_ITERS in l0prune.pcg.
 """
 
-from .admm import admm_solve, budget_from_sparsity
+from .admm import admm_solve
 from .baselines import (
     PruneSolution,
     activation_weighted_prune,
@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import gram_from_activations, layer_objective, relative_error
 from .matrixio import read_matrix, write_matrix
 from .pcg import pcg_refine
-from .projections import NM, Unstructured, support_of
+from .projections import NM, Unstructured, budget_from_sparsity, support_of
 
 __all__ = [
     "DegenerateInstanceError",

@@ -8,11 +8,12 @@ iterate D coupled by a dual variable V, alternating
     V <- V + rho (W - D),
 
 on the problem linalg.preprocess rescales to a unit live Gram diagonal
-(the polish's CG preconditioner). The penalty rho starts small so the
-support can move, and grows on a fixed step schedule driven by how much
-the support of D changed over the last CHECK_PERIOD iterations. Once the
-support stops changing the loop ends, and the polish below first solves
-for the optimal weights on the frozen support by conjugate gradient.
+(the polish's CG preconditioner) and dense weights normalized by a power
+of two. The penalty rho starts small so the support can move, and grows
+on a fixed step schedule driven by how much the support of D changed
+over the last CHECK_PERIOD iterations. Once the support stops changing
+the loop ends, and the polish below first solves for the optimal weights
+on the frozen support by conjugate gradient.
 
 H = Q diag(lambda) Q^T is factored once per solve into the state's q and
 lam, and the loop keeps W and V only in that eigenbasis, as Q^T W and
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,14 +69,10 @@ from .baselines import PruneSolution, build_solution
 from .diagnostics import (
     IterRecord, IterTrace, check_lemma1, check_lemma2, theorem1_residual_bound,
 )
-from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import (
-    ScaledProblem, check_instance, check_range, eigendecompose, preprocess, quadratic_form,
-)
+from .errors import DegenerateInstanceError
+from .linalg import ScaledProblem, check_instance, eigendecompose, preprocess, quadratic_form
 from .pcg import CG_ITERS, check_max_iters, support_cg
-from .projections import (
-    SparsityBudget, Unstructured, budget_size, project, support_change,
-)
+from .projections import SparsityBudget, budget_size, project, support_change
 
 # The reference penalty schedule: rho starts at RHO0 and rho_update runs
 # every CHECK_PERIOD steps. MAX_ITERS is admm_solve's default cap.
@@ -85,18 +81,6 @@ CHECK_PERIOD = 3
 RHO_MULTIPLIERS = (1.3, 1.2, 1.1)
 CHURN_THRESHOLDS = (0.1, 0.005)
 MAX_ITERS = 300
-
-
-def budget_from_sparsity(s: float, n_in: int, n_out: int) -> Unstructured:
-    """Budget keeping floor((1 - s) * n_in * n_out) weights at sparsity s."""
-    if not 0.0 <= s <= 1.0:
-        raise InvalidInputError(f"sparsity must lie in [0, 1], got {s}")
-    if n_in < 1 or n_out < 1:
-        raise InvalidInputError("dimensions must be positive")
-    # Exact arithmetic on the decimal s prints as, so an integer (1-s)*size
-    # loses no slot to float error: s=0.9 on 100 weights, or s=0.8 on a
-    # 5120 x 13824 layer, where a fixed nudge is below the rounding.
-    return Unstructured(math.floor((1 - Fraction(repr(float(s)))) * n_in * n_out))
 
 
 @dataclass(eq=False)
@@ -246,20 +230,20 @@ def admm_solve(
 ) -> PruneSolution:
     """Solve the layer pruning problem under a sparsity budget.
 
-    Runs the alternating updates on the rescaled problem, from rho = RHO0,
-    until the support of D survives a whole check period unchanged (or
-    max_iters is hit, reported via the stabilized flag), then polishes:
-    refines the weights on the frozen support with conjugate gradient,
-    at most CG_ITERS iterations a refinement, and runs at most max_iters
-    monotone hard-thresholding rounds. Last it undoes the scaling. The
-    returned solution carries a per-iteration trace, the verdicts of the
-    three convergence checks of l0prune.diagnostics on it, the polish
+    Runs the alternating updates on preprocess's rescaled problem, whose
+    norms cannot leave float64, from rho = RHO0, until the support of D
+    survives a whole check period unchanged (or max_iters is hit, reported
+    via the stabilized flag), then polishes: refines the weights on the
+    frozen support with conjugate gradient, at most CG_ITERS iterations a
+    refinement, and runs at most max_iters monotone hard-thresholding
+    rounds. Last it undoes the scaling. The returned solution carries a
+    per-iteration trace, in the rescaled problem's units, the verdicts of
+    the three convergence checks of l0prune.diagnostics on it, the polish
     rounds accepted, and in pcg_iters_used every refinement iteration the
     solve ran, polish rounds included. Raises InvalidInputError when
-    max_iters is not a positive integer, and DegenerateInstanceError
-    where preprocess does, where linalg.check_range does on ||H W_hat||^2
-    of the rescaled problem, where build_solution's metrics do on the
-    answer, and when W_hat is nonzero only on dead channels.
+    max_iters is not a positive integer, and DegenerateInstanceError on
+    an all-zero Gram diagonal, when W_hat is nonzero only on dead
+    channels, and where relative_error would on the answer.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)
@@ -269,11 +253,7 @@ def admm_solve(
     # Only the state holds Q, so deleting the state frees it.
     state = initial_state(scaled)
     spectral_norm = float(state.lam[-1])
-    # ||G|| can overflow where W_hat's own norm does not; vdot does not warn.
-    g_squared = check_range(
-        np.vdot(state.qtg, state.qtg), state.qtg, "squared norm of the rescaled H W_hat"
-    )
-    trace = IterTrace(records=[], h_spectral=spectral_norm, g_norm=math.sqrt(g_squared))
+    trace = IterTrace([], spectral_norm, math.sqrt(np.vdot(state.qtg, state.qtg)))
     pre = _norms(state)
     # ||D|| starts as the rescaled W_hat's norm, zero here only if the
     # rescaling zeroed every row: then the signal sits on dead channels.
@@ -313,9 +293,8 @@ def admm_solve(
     d = state.d
     del state, support
     polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, max_iters)
-    w = scaled.scale[:, None] * polished
     return build_solution(
-        w, h, w_hat, "alps",
+        scaled.unscale(polished), h, w_hat, "alps",
         stabilized=stabilized,
         iterations=len(trace.records),
         rho_final=rho,

@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import IterTrace, TheoremBound, Violation
 from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
 from .linalg import (
-    as_matrix, check_finite, check_instance, output_energy, quadratic_form, reconstruction_gap,
+    as_matrix, check_finite, check_instance, objective_and_error, output_energy, quadratic_form,
 )
 from .projections import (
     SparsityBudget,
@@ -63,12 +63,9 @@ def build_solution(w, h, w_hat, method: str, **extra) -> PruneSolution:
     """Package w with its support, metrics when h is given, and extra fields.
 
     Checks no input: every caller builds w itself from arrays it checked.
-    The metrics raise where reconstruction_gap and output_energy do.
+    The metrics raise where linalg.objective_and_error does.
     """
-    objective = rel = None
-    if h is not None:
-        objective = reconstruction_gap(h, w_hat, w)
-        rel = objective / output_energy(h, w_hat)[1]
+    objective, rel = (None, None) if h is None else objective_and_error(h, w_hat, w)
     return PruneSolution(w, w != 0.0, objective, rel, method, **extra)
 
 

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .admm import MAX_ITERS, admm_solve, budget_from_sparsity
+from .admm import MAX_ITERS, admm_solve
 from .baselines import (
     PruneSolution,
     activation_weighted_prune,
@@ -30,7 +30,9 @@ from .baselines import (
 from .errors import DegenerateInstanceError, InvalidInputError, PruneError
 from .linalg import gram_from_activations, relative_error
 from .matrixio import read_matrix, read_row_blocks, write_matrix
-from .projections import NM, SparsityBudget, Unstructured, budget_size, support_of
+from .projections import (
+    NM, SparsityBudget, Unstructured, budget_from_sparsity, budget_size, support_of,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -44,7 +44,7 @@ class IterRecord:
 
 @dataclass
 class IterTrace:
-    """Full per-iteration record of a solve, on the rescaled problem."""
+    """Per-iteration record of a solve, in linalg.ScaledProblem's normalized units."""
 
     records: list[IterRecord] = field(default_factory=list)
     h_spectral: float = 0.0

@@ -23,8 +23,8 @@ DEAD_DIAG_RTOL = 1e-12
 TINY = np.finfo(np.float64).tiny
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array with finite entries and positive dims."""
+def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array with positive dims, and shape if given."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
@@ -32,6 +32,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InvalidInputError(f"{name} must have positive dimensions, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
+    if shape is not None and arr.shape != shape:
+        raise InvalidInputError(f"{name} {arr.shape} not shaped like {shape}")
     return arr
 
 
@@ -97,10 +99,10 @@ def check_instance(h, w_hat) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ScaledProblem:
-    """Diagonally rescaled instance with unit Gram diagonal on live coords.
+    """Rescaled instance: unit Gram diagonal on live coords, and |w_hat| < 2.
 
-    scale holds the positive diagonal E with W = E W'; gram is E H E and
-    w_hat is E^{-1} W_hat. Dead coordinates, whose Gram diagonal is at most
+    W = 2^e E W' for the positive diagonal E in scale and e in exponent;
+    gram is E H E. Dead coordinates, whose Gram diagonal is at most
     DEAD_DIAG_RTOL of the largest, are decoupled from the Gram and their
     dense rows zeroed, so no iterate moves there from its start.
     """
@@ -108,13 +110,22 @@ class ScaledProblem:
     scale: np.ndarray
     gram: np.ndarray
     w_hat: np.ndarray
+    exponent: int = 0
+
+    def unscale(self, w: np.ndarray) -> np.ndarray:
+        """W = 2^e E W' of a rescaled w, in a new array."""
+        # Not in w: a kept result in a solve's early work buffer fragments the heap.
+        w = self.scale[:, None] * w
+        return np.ldexp(w, self.exponent, out=w)
 
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
-    """Rescale arrays check_instance passed to a Gram with unit live diagonal.
+    """Rescale arrays check_instance passed to a ScaledProblem.
 
-    Raises DegenerateInstanceError on an all-zero Gram diagonal, and where
-    check_range does on the rescaled weights' squared norm.
+    2^e is within a factor 4 above max |W_hat_ij| / E_i on live rows. Each
+    later step is homogeneous in W_hat, so a solve is exactly 2^-e times
+    the one on E^{-1} W_hat, and no norm of it can leave float64. Raises
+    DegenerateInstanceError on an all-zero Gram diagonal.
     """
     diag = np.diag(h)
     max_diag = float(diag.max())
@@ -133,13 +144,14 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     gram = (gram + gram.T) / 2.0
     # Exactly 1 where live, so the CG on it needs no preconditioner.
     np.fill_diagonal(gram, live)
-    # An overflow to inf here is caught by the squared-norm check below.
-    with np.errstate(over="ignore"):
-        w_scaled = w_hat / scale[:, None]
-    w_scaled[dead, :] = 0.0
-    # Every iterate and norm of a solve is on w_scaled's scale; vdot does not warn.
-    check_range(np.vdot(w_scaled, w_scaled), w_scaled, "squared norm of the rescaled dense weights")
-    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled)
+    # e_i, the summed binary exponents of a live row's peak |W_hat| and of
+    # sqrt(H_ii), bounds peak / E_i by 2^e_i without forming it: no overflow.
+    peak = np.maximum(w_hat.max(axis=1), -w_hat.min(axis=1))
+    rows = live & (peak > 0.0)
+    e = max((np.frexp(peak[rows])[1] + np.frexp(np.sqrt(diag[rows]))[1]).tolist(), default=0)
+    w_scaled = np.ldexp(w_hat, -e, out=np.zeros_like(w_hat), where=live[:, None])
+    w_scaled /= scale[:, None]
+    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled, exponent=e)
 
 
 def check_finite(x, name: str) -> None:
@@ -204,16 +216,8 @@ def layer_objective(h, w_hat, w) -> float:
     Raises DegenerateInstanceError where check_range does on the gap,
     formed from H (W_hat - W).
     """
-    return _checked_objective(h, w_hat, w)[0]
-
-
-def _checked_objective(h, w_hat, w) -> tuple[float, np.ndarray, np.ndarray]:
-    """layer_objective, with the checked Gram and dense weights it used."""
     h, w_hat = check_instance(h, w_hat)
-    w = as_matrix(w, "weights")
-    if w.shape != w_hat.shape:
-        raise InvalidInputError(f"weights {w.shape} not shaped like {w_hat.shape}")
-    return reconstruction_gap(h, w_hat, w), h, w_hat
+    return reconstruction_gap(h, w_hat, as_matrix(w, "weights", w_hat.shape))
 
 
 def reconstruction_gap(h, w_hat, w) -> float:
@@ -236,8 +240,14 @@ def relative_error(h, w_hat, w) -> float:
     denominator is the energy of the dense layer output; a zero value
     means the instance carries no signal to preserve.
     """
-    objective, h, w_hat = _checked_objective(h, w_hat, w)
-    return objective / output_energy(h, w_hat)[1]
+    h, w_hat = check_instance(h, w_hat)
+    return objective_and_error(h, w_hat, as_matrix(w, "weights", w_hat.shape))[1]
+
+
+def objective_and_error(h, w_hat, w) -> tuple[float, float]:
+    """A solution's gap and relative error, for arrays already checked."""
+    gap = reconstruction_gap(h, w_hat, w)
+    return gap, gap / output_energy(h, w_hat)[1]
 
 
 def output_energy(h: np.ndarray, w_hat: np.ndarray) -> tuple[np.ndarray, float]:

@@ -45,26 +45,23 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = CG_ITERS) -> np.ndarray:
 
     Returns the refined weights, supported on the mask, with w0's rows on
     the dead channels of linalg.preprocess; w0 is left as it was. Raises
-    DegenerateInstanceError where preprocess does (an all-zero Gram
-    diagonal, weights beyond float64's range), on a residual or curvature
-    that overflows float64, and on vanishing curvature with the residual
-    above tolerance (a singular restricted system).
+    DegenerateInstanceError on an all-zero Gram diagonal, on a residual or
+    curvature that overflows float64 (from a warm start far above W_hat),
+    and on vanishing curvature with the residual above tolerance (a
+    singular restricted system).
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
-    w0 = as_matrix(w0, "warm start")
-    if w0.shape != w_hat.shape:
-        raise InvalidInputError(f"warm start {w0.shape} not shaped like {w_hat.shape}")
+    w0 = as_matrix(w0, "warm start", w_hat.shape)
     if np.any(w0[~support] != 0.0):
         raise InvalidInputError("warm start has mass outside the support")
     check_max_iters(max_iters)
 
     scaled = preprocess(h, w_hat)
-    scale = scaled.scale[:, None]
     # Scaling copies the warm start, which the kernel refines in place.
-    w = support_cg(scaled.gram, scaled.w_hat, support, w0 / scale, max_iters)[0]
-    w *= scale
-    return w
+    w = w0 / scaled.scale[:, None]
+    np.ldexp(w, -scaled.exponent, out=w)
+    return scaled.unscale(support_cg(scaled.gram, scaled.w_hat, support, w, max_iters)[0])
 
 
 def check_max_iters(max_iters) -> None:

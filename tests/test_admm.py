@@ -125,29 +125,43 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_preprocess_unit_diagonal():
+    # max |W_hat_i| / E_i is 1 * 2, whose factors' binary exponents sum to
+    # 3: W' = W_hat / (8 E).
     scaled = preprocess(np.diag([4.0, 1.0]), np.ones((2, 1)))
     np.testing.assert_allclose(scaled.scale, [0.5, 1.0])
     np.testing.assert_allclose(scaled.gram, np.eye(2))
-    np.testing.assert_allclose(scaled.w_hat, [[2.0], [1.0]])
+    assert scaled.exponent == 3
+    np.testing.assert_array_equal(scaled.w_hat, [[0.25], [0.125]])
+    np.testing.assert_array_equal(scaled.unscale(scaled.w_hat), np.ones((2, 1)))
 
 
 def test_preprocess_identity_unchanged():
+    # The identity Gram keeps E = 1, so W_hat changes by a power of two only.
     rng = np.random.default_rng(0)
-    w_hat = rng.standard_normal((3, 2))
+    w_hat = 3.0 * rng.standard_normal((3, 2))
     scaled = preprocess(np.eye(3), w_hat)
     np.testing.assert_array_equal(scaled.gram, np.eye(3))
-    np.testing.assert_array_equal(scaled.w_hat, w_hat)
+    np.testing.assert_array_equal(scaled.w_hat, np.ldexp(w_hat, -scaled.exponent))
+    np.testing.assert_array_equal(scaled.unscale(scaled.w_hat), w_hat)
 
 
 def test_preprocess_preserves_objective():
+    # The rescaled problem is a congruence of the caller's, 2^-e W_hat on
+    # the scaled Gram: its objective times 4^e is the caller's. Unscaling
+    # its dense weights leaves only E's rounding: the power of two is exact
+    # at any scale.
     rng = np.random.default_rng(1)
     h = random_psd(rng, 5)
-    w_hat = rng.standard_normal((5, 3))
-    w = rng.standard_normal((5, 3))
-    scaled = preprocess(h, w_hat)
-    direct = layer_objective(h, w_hat, w)
-    rescaled = layer_objective(scaled.gram, scaled.w_hat, w / scaled.scale[:, None])
-    assert rescaled == pytest.approx(direct, rel=1e-10)
+    w_unit, w_unit_pruned = rng.standard_normal((2, 5, 3))
+    for c in (1e-100, 1.0, 1e100):
+        w_hat, w = c * w_unit, c * w_unit_pruned
+        scaled = preprocess(h, w_hat)
+        e = scaled.exponent
+        scale = scaled.scale[:, None]
+        np.testing.assert_array_equal(scaled.unscale(scaled.w_hat), scale * (w_hat / scale))
+        direct = layer_objective(h, w_hat, w)
+        rescaled = layer_objective(scaled.gram, scaled.w_hat, np.ldexp(w / scale, -e))
+        assert np.ldexp(rescaled, 2 * e) == pytest.approx(direct, rel=1e-10)
 
 
 def test_preprocess_zero_diagonal_rejected():
@@ -566,7 +580,8 @@ def test_solve_is_invariant_to_the_weights_scale(c):
     # scaling W_hat by c scales the solve and changes no decision. A floor
     # on the refinement's starting residual that ignored W_hat's scale
     # would skip the refinement at c = 1e-18, 0.14% worse in rel_error.
-    # At 2.5e151, just below where ||G|| overflows, every norm stays finite.
+    # Every trace norm stays finite: the solve runs on W_hat normalized by
+    # a power of two.
     h, w_hat = scale_instance()
     budget = budget_from_sparsity(0.7, 64, 32)
     ref, sol = (admm_solve(h, s * w_hat, budget) for s in (1.0, c))
@@ -580,18 +595,49 @@ def test_solve_is_invariant_to_the_weights_scale(c):
     assert sol.rel_error == pytest.approx(ref.rel_error, rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "c, g, message",
-    BEYOND_FLOAT64 + [pytest.param(3e151, 1.0, "overflows", id="gradient-3e151")],
-)
+@pytest.mark.parametrize("k", [-500, 500])
+@pytest.mark.parametrize("budget", [Unstructured(614), NM(2, 4)], ids=["topk", "nm24"])
+def test_solve_scales_exactly_by_powers_of_two(budget, k):
+    # preprocess normalizes W_hat by a power of two, so 2^k W_hat reaches
+    # the loop as the same bits: the trace, in normalized units, is the
+    # same, and the weights come back 2^k times the unscaled ones.
+    h, w_hat = scale_instance()
+    ref, sol = (admm_solve(h, np.ldexp(w_hat, s), budget) for s in (0, k))
+    assert sol.trace == ref.trace
+    assert np.array_equal(sol.w, np.ldexp(ref.w, k))
+
+
+@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
 def test_solve_rejects_an_instance_beyond_float64(c, g, message):
-    # Here the weights' squares leave float64's normal range; the solve
-    # returned NaN after overflow warnings, or a result off in its sixth
-    # digit, or blamed zero output energy on nonzero weights. At 3e151 only
-    # ||G|| = ||H W_hat|| overflowed: the solve warned, and its trace read inf.
+    # Here the answer's gap leaves float64's range; the solve returned NaN
+    # after overflow warnings, or a result off in its sixth digit, or
+    # blamed zero output energy on nonzero weights. It runs on normalized
+    # weights now, and raises where relative_error does on its answer.
     h, w_hat = scale_instance()
     with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
         admm_solve(g * h, c * w_hat, budget_from_sparsity(0.7, 64, 32))
+
+
+def _rescaled_norm_cases():
+    h, w_hat, g, c = gap_overflow_instance()
+    yield pytest.param(g * h, c * w_hat, Unstructured(1), id="2x1")
+    h, w_hat = scale_instance()
+    yield pytest.param(h, 3e151 * w_hat, budget_from_sparsity(0.7, 64, 32), id="gradient-3e151")
+    r = 1.0 - 1e-10
+    h = np.array([[1.0, r], [r, 1.0]])
+    yield pytest.param(h, np.array([[1e-146], [-1e-146]]), Unstructured(1), id="gradient-1e-146")
+
+
+@pytest.mark.parametrize("h, w_hat, budget", _rescaled_norm_cases())
+def test_solve_answers_where_only_rescaled_norms_left_float64(h, w_hat, budget):
+    # The solve refused each on a norm of its rescaled problem while the
+    # answer's gap and energy are in range: on the 2x1 instance the
+    # rescaled weights' squared norm, 2e310; at 3e151 ||G||^2 overflowed;
+    # along the scaled Gram's eigenvalue 1e-10 it was 2.0e-312. On weights
+    # normalized by a power of two no such norm can leave float64.
+    sol = admm_solve(h, w_hat, budget)
+    assert sol.objective == layer_objective(h, w_hat, sol.w)
+    assert sol.rel_error == linalg.relative_error(h, w_hat, sol.w)
 
 
 @pytest.mark.parametrize(
@@ -621,10 +667,9 @@ PRODUCERS = {
 
 
 def _agreement_cases():
-    # The 64x32 layer at weight scales across admm_solve's edges (for the
-    # gap below, for ||G|| above); brute force on a 4x3 corner of it; the
-    # layer with dead channels; and the 2x1 instance whose gap alone
-    # leaves float64.
+    # The 64x32 layer at weight scales across the gap's lower edge and up
+    # to 2.5e151; brute force on a 4x3 corner of it; the layer with dead
+    # channels; and the 2x1 instance whose gap alone leaves float64.
     h, w_hat = scale_instance()
     for c in (4.6e-157, 1e-156, 1.9e-156, 1.0, 2.5e151):
         for name in ("admm-topk", "admm-2:4", "mp", "wanda", "backsolve"):
@@ -661,30 +706,6 @@ def test_solvers_report_what_the_metrics_measure(producer, h, w_hat, k, g, c):
         return
     assert sol.objective == layer_objective(g * h, c * w_hat, sol.w)
     assert sol.rel_error == linalg.relative_error(g * h, c * w_hat, sol.w)
-
-
-def test_solve_refuses_the_2x1_instance_on_its_rescaled_weights():
-    # The rescaled weights' squared norm, 2e310, overflows before any gap
-    # is formed, although the optimal gap, 2e300, is in range.
-    h, w_hat, g, c = gap_overflow_instance()
-    with pytest.raises(
-        DegenerateInstanceError, match="squared norm of the rescaled dense weights overflows"
-    ):
-        admm_solve(g * h, c * w_hat, Unstructured(1))
-    w = c * admm_solve(h, w_hat, Unstructured(1)).w
-    assert math.isfinite(linalg.relative_error(g * h, c * w_hat, w))
-
-
-def test_solve_rejects_a_gradient_below_float64():
-    # Along the scaled Gram's eigenvalue 1e-10, ||G||^2 = 2e-312 is
-    # subnormal while the weights' squares and the energy are normal: the
-    # solve returned rel_error 1.0 where at 1e-140 it reads 1 - 5e-11.
-    r = 1.0 - 1e-10
-    h = np.array([[1.0, r], [r, 1.0]])
-    w_hat = np.array([[1e-146], [-1e-146]])
-    with pytest.raises(DegenerateInstanceError, match="H W_hat underflows float64: 2.000e-312"):
-        admm_solve(h, w_hat, Unstructured(1))
-    assert admm_solve(h, 1e6 * w_hat, Unstructured(1)).rel_error == pytest.approx(1.0 - 5e-11, abs=1e-15)
 
 
 def test_solve_is_deterministic():

@@ -188,15 +188,12 @@ def test_float64_range_rule_lives_in_check_range():
     assert float64_raises == {("linalg", "check_range"), ("linalg", "check_finite")}
 
 
-# Where the range rule runs. Both sides: the rescaling, the solver's
-# ||G||^2, and the gap and the energy a result reports. The overflow side
-# alone, check_finite (which check_range also runs): the refinement's
-# residual and curvature, and the exact oracle's H W_hat.
+# Where the range rule runs. Both sides: the gap and the energy a result
+# reports, and nothing of the rescaled problem, whose norms are bounded.
+# The overflow side alone, check_finite (which check_range also runs): the
+# refinement's residual and curvature, and the exact oracle's H W_hat.
 RANGE_RULE_SITES = {
-    "check_range": {
-        "linalg.preprocess", "admm.admm_solve", "linalg.reconstruction_gap",
-        "linalg.output_energy",
-    },
+    "check_range": {"linalg.reconstruction_gap", "linalg.output_energy"},
     "check_finite": {"linalg.check_range", "pcg.support_cg", "baselines.backsolve_exact"},
 }
 

@@ -129,39 +129,61 @@ def test_refine_is_invariant_to_the_weights_scale():
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("c, g, message", BEYOND_FLOAT64)
-def test_refine_rejects_an_instance_beyond_float64(c, g, message):
-    # The refinement shares the solver's rescaling and so its range check;
-    # it warned on overflow and returned weights 37% off, or drifted.
+@pytest.mark.parametrize("k", [-500, 500])
+def test_refine_scales_exactly_by_powers_of_two(k):
+    # preprocess normalizes W_hat by a power of two, so 2^k W_hat and a
+    # warm start 2^k w0 reach the kernel as the same bits.
     h, w_hat = scale_instance()
     support = mp_support(w_hat, 614)
-    w0 = np.where(support, c * w_hat, 0.0)
-    with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
-        pcg_refine(g * h, c * w_hat, support, w0)
+    w0 = np.where(support, w_hat, 0.0)
+    expected = np.ldexp(pcg_refine(h, w_hat, support, w0), k)
+    assert np.array_equal(pcg_refine(h, np.ldexp(w_hat, k), support, np.ldexp(w0, k)), expected)
+
+
+# The instances beyond float64 where the metrics raise, on the 0.7
+# magnitude support, and weights scales where a cold start on the full
+# support overflowed the curvature (1.4e151 to 2.5e151) or the first
+# residual (2.6e151, 3.9e151) before the refinement ran on normalized weights.
+SCALED_REFINEMENTS = [pytest.param(*p.values[:2], 614, id=p.id) for p in BEYOND_FLOAT64] + [
+    pytest.param(c, 1.0, 2048, id=f"full-{c:g}")
+    for c in (1.4e151, 2e151, 2.5e151, 2.6e151, 3.9e151)
+]
+
+
+@pytest.mark.parametrize("c, g, kept", SCALED_REFINEMENTS)
+def test_refine_returns_c_times_the_unscaled_refinement(c, g, kept):
+    # The refinement checks no metric, so on W_hat normalized by a power of
+    # two it has no range edge in c or g. Without the normalization it
+    # raised here, and before that it warned on overflow and returned
+    # weights 37% off, drifted, or returned the zero start.
+    h, w_hat = scale_instance()
+    support = mp_support(w_hat, kept)
+    expected = pcg_refine(h, w_hat, support, np.zeros(w_hat.shape))
+    out = pcg_refine(g * h, c * w_hat, support, np.zeros(w_hat.shape))
+    assert np.linalg.norm(out / c - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize(
     "c, message",
-    [(c, "curvature along the search direction") for c in (1.4e151, 2e151, 2.5e151)]
-    + [(c, "squared norm of the refinement's residual") for c in (2.6e151, 3.9e151)],
+    [(2e153, "curvature along the search direction"),
+     (1e154, "squared norm of the refinement's residual")],
 )
 def test_refine_rejects_a_residual_or_curvature_beyond_float64(c, message):
-    # Below preprocess's edge, from a cold start on the full support:
-    # p^T H p overflowed to inf, so the step was zero and the zero start
-    # came back, 100% off, with no warning; from 2.6e151 the first
-    # residual's squared norm overflowed too, and the weights came back
-    # NaN after overflow warnings.
+    # A warm start far above W_hat on the full support. Unchecked, p^T H p
+    # overflows to inf, so the step is zero and the start comes back with
+    # no warning; at 1e154 the first residual's squared norm overflows first.
     h, w_hat = scale_instance()
     with pytest.raises(DegenerateInstanceError, match=f"^{message} overflows float64$"):
-        pcg_refine(h, c * w_hat, np.ones(w_hat.shape, bool), np.zeros(w_hat.shape))
+        pcg_refine(h, w_hat, np.ones(w_hat.shape, bool), np.full(w_hat.shape, c))
 
 
 @pytest.mark.parametrize("c, kept", [(4.6e-157, 2048), (1.3e151, 2048), (2.6e151, 614)])
 def test_refine_scales_up_to_its_edges(c, kept):
     # A tiny residual or curvature is progress, not lost bits, so only
-    # their overflow raises: at 4.6e-157 the curvatures fall below the
-    # smallest normal float64, and the magnitude support keeps them finite
-    # to 2.6e151.
+    # their overflow raises; on normalized weights neither depends on c.
+    # Before the normalization these scales were just inside the edges:
+    # at 4.6e-157 the curvatures fell below the smallest normal float64,
+    # and only the magnitude support kept them finite at 2.6e151.
     h, w_hat = scale_instance()
     support = mp_support(w_hat, kept)
     expected = pcg_refine(h, w_hat, support, np.zeros(w_hat.shape))
