@@ -243,7 +243,8 @@ def admm_solve(
     solve ran, polish rounds included. Raises InvalidInputError when
     max_iters is not a positive integer, and DegenerateInstanceError on
     an all-zero Gram diagonal, when W_hat is nonzero only on dead
-    channels, and where relative_error would on the answer.
+    channels, on an answer weight past float64 (before its gap), and
+    where relative_error would on the answer.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)

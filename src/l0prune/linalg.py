@@ -101,22 +101,38 @@ def check_instance(h, w_hat) -> tuple[np.ndarray, np.ndarray]:
 class ScaledProblem:
     """Rescaled instance: unit Gram diagonal on live coords, and |w_hat| < 2.
 
-    W = 2^e E W' for the positive diagonal E in scale and e in exponent;
-    gram is E H E. Dead coordinates, whose Gram diagonal is at most
-    DEAD_DIAG_RTOL of the largest, are decoupled from the Gram and their
-    dense rows zeroed, so no iterate moves there from its start.
+    W = 2^e E W' for the positive diagonal E in scale and e in exponent,
+    and gram is E H E. A dead row, Gram diagonal at most DEAD_DIAG_RTOL of
+    the largest, is cut from the Gram and zeroed in w_hat, so no iterate
+    moves there; rescale and unscale, the only crossings, pass it as given.
     """
 
     scale: np.ndarray
     gram: np.ndarray
     w_hat: np.ndarray
+    live: np.ndarray
     exponent: int = 0
 
+    @np.errstate(over="ignore")
+    def rescale(self, w: np.ndarray) -> np.ndarray:
+        """W' = 2^-e E^-1 W in a new array, the power of two first as in preprocess."""
+        w = np.ldexp(w, -self.exponent, out=w.copy(), where=self.live[:, None])
+        w /= self.scale[:, None]
+        return _finite(w, "a rescaled weight")
+
+    @np.errstate(over="ignore")
     def unscale(self, w: np.ndarray) -> np.ndarray:
         """W = 2^e E W' of a rescaled w, in a new array."""
         # Not in w: a kept result in a solve's early work buffer fragments the heap.
         w = self.scale[:, None] * w
-        return np.ldexp(w, self.exponent, out=w)
+        np.ldexp(w, self.exponent, out=w, where=self.live[:, None])
+        return _finite(w, "an unscaled weight")
+
+
+def _finite(w: np.ndarray, name: str) -> np.ndarray:
+    """w, once its extremes are finite: rescale's and unscale's one check."""
+    check_finite((w.max(), w.min()), name)
+    return w
 
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
@@ -131,16 +147,12 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     max_diag = float(diag.max())
     if max_diag <= 0.0:
         raise DegenerateInstanceError("gram diagonal is entirely zero")
-    dead = diag <= DEAD_DIAG_RTOL * max_diag
-    scale = np.ones_like(diag)
-    live = ~dead
-    scale[live] = 1.0 / np.sqrt(diag[live])
+    live = diag > DEAD_DIAG_RTOL * max_diag
+    scale = 1.0 / np.sqrt(diag, out=np.ones_like(diag), where=live)
     gram = h * scale[:, None] * scale[None, :]
-    if dead.any():
-        # Quarantine dead coordinates: congruence with a projection keeps
-        # the matrix PSD, and zero rows pin their iterates where they start.
-        gram[dead, :] = 0.0
-        gram[:, dead] = 0.0
+    # Quarantine dead coordinates: congruence with a projection keeps the
+    # matrix PSD, and zero rows pin their iterates where they start.
+    gram[~live, :] = gram[:, ~live] = 0.0
     gram = (gram + gram.T) / 2.0
     # Exactly 1 where live, so the CG on it needs no preconditioner.
     np.fill_diagonal(gram, live)
@@ -151,7 +163,7 @@ def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
     e = max((np.frexp(peak[rows])[1] + np.frexp(np.sqrt(diag[rows]))[1]).tolist(), default=0)
     w_scaled = np.ldexp(w_hat, -e, out=np.zeros_like(w_hat), where=live[:, None])
     w_scaled /= scale[:, None]
-    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled, exponent=e)
+    return ScaledProblem(scale=scale, gram=gram, w_hat=w_scaled, live=live, exponent=e)
 
 
 def check_finite(x, name: str) -> None:

@@ -44,11 +44,11 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = CG_ITERS) -> np.ndarray:
     max_iters : positive iteration cap, by default the solver's CG_ITERS.
 
     Returns the refined weights, supported on the mask, with w0's rows on
-    the dead channels of linalg.preprocess; w0 is left as it was. Raises
-    DegenerateInstanceError on an all-zero Gram diagonal, on a residual or
-    curvature that overflows float64 (from a warm start far above W_hat),
-    and on vanishing curvature with the residual above tolerance (a
-    singular restricted system).
+    the dead channels of linalg.preprocess exactly; w0 is left as it was.
+    Raises DegenerateInstanceError on an all-zero Gram diagonal, where the
+    rescaled warm start, the answer, or a residual or curvature (from a
+    warm start far above W_hat) overflows float64, and on vanishing
+    curvature with the residual above tolerance (a singular system).
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
@@ -58,10 +58,8 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = CG_ITERS) -> np.ndarray:
     check_max_iters(max_iters)
 
     scaled = preprocess(h, w_hat)
-    # Scaling copies the warm start, which the kernel refines in place.
-    w = w0 / scaled.scale[:, None]
-    np.ldexp(w, -scaled.exponent, out=w)
-    return scaled.unscale(support_cg(scaled.gram, scaled.w_hat, support, w, max_iters)[0])
+    w, _ = support_cg(scaled.gram, scaled.w_hat, support, scaled.rescale(w0), max_iters)
+    return scaled.unscale(w)
 
 
 def check_max_iters(max_iters) -> None:
@@ -85,7 +83,8 @@ def support_cg(
     refined weights, and the iterations run. Beside w it holds three n x m
     arrays, the residual r, the direction p and H p, whose buffer also
     takes the steps alpha H p and alpha p. Raises DegenerateInstanceError
-    as pcg_refine documents.
+    as pcg_refine documents: w, unlike w_hat, is bounded only by float64
+    after rescaling, so the residual and the curvature keep their checks.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         r = h @ (w_hat - w)

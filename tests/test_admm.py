@@ -210,7 +210,8 @@ def test_first_step_fixes_dense_weights():
 def test_step_with_zero_gram_copies_sparse_iterate():
     # With H = 0, G = 0 and V = 0, the dense update is W = (rho D) / rho = D.
     w_hat = np.arange(6.0).reshape(3, 2)
-    state = initial_state(ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat))
+    live = np.ones(3, bool)
+    state = initial_state(ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat, live))
     d = state.d.copy()  # the step overwrites the state in place
     admm_step(state, 2.0, Unstructured(6))
     np.testing.assert_allclose(state.q @ state.qtw, d, atol=1e-14)
@@ -220,7 +221,8 @@ def test_step_on_diagonal_gram_by_hand():
     # H = diag(1, 4), W_hat = (1, 1), rho = 1, keep one weight. Step 1
     # returns W = W_hat, keeps the first of the tied entries, V = (0, 1).
     # Step 2: W = (G - V + D) / (diag(H) + 1) = (2, 3) / (2, 5).
-    scaled = ScaledProblem(np.ones(2), np.diag([1.0, 4.0]), np.ones((2, 1)))
+    live = np.ones(2, bool)
+    scaled = ScaledProblem(np.ones(2), np.diag([1.0, 4.0]), np.ones((2, 1)), live)
     state = initial_state(scaled)
     admm_step(state, 1.0, Unstructured(1))
     np.testing.assert_allclose(state.q @ state.qtw, [[1.0], [1.0]], atol=1e-14)
@@ -616,6 +618,18 @@ def test_solve_rejects_an_instance_beyond_float64(c, g, message):
     h, w_hat = scale_instance()
     with pytest.raises(DegenerateInstanceError, match=f"{message} float64"):
         admm_solve(g * h, c * w_hat, budget_from_sparsity(0.7, 64, 32))
+
+
+def test_answer_weights_past_float64_are_rejected():
+    # Keeping one weight refits it to 1.9e308. Unscaling it warned of an
+    # overflow in ldexp; then the solve raised on its gap, and the
+    # refinement on the same support returned [inf, 0].
+    h = np.array([[1.0, 0.9], [0.9, 1.0]])
+    w_hat = np.full((2, 1), 1e308)
+    with pytest.raises(DegenerateInstanceError, match="^an unscaled weight overflows float64$"):
+        admm_solve(h, w_hat, Unstructured(1))
+    with pytest.raises(DegenerateInstanceError, match="^an unscaled weight overflows float64$"):
+        pcg_refine(h, w_hat, np.array([[True], [False]]), np.zeros((2, 1)))
 
 
 def _rescaled_norm_cases():

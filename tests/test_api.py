@@ -191,10 +191,12 @@ def test_float64_range_rule_lives_in_check_range():
 # Where the range rule runs. Both sides: the gap and the energy a result
 # reports, and nothing of the rescaled problem, whose norms are bounded.
 # The overflow side alone, check_finite (which check_range also runs): the
-# refinement's residual and curvature, and the exact oracle's H W_hat.
+# weights crossing the scaling, the refinement's residual and curvature,
+# and the exact oracle's H W_hat.
 RANGE_RULE_SITES = {
     "check_range": {"linalg.reconstruction_gap", "linalg.output_energy"},
-    "check_finite": {"linalg.check_range", "pcg.support_cg", "baselines.backsolve_exact"},
+    "check_finite": {"linalg.check_range", "linalg._finite", "pcg.support_cg",
+                     "baselines.backsolve_exact"},
 }
 
 
@@ -216,3 +218,17 @@ def test_range_rule_runs_where_the_readme_says():
     section = text[start:text.index("\n## ", start + 1)]
     for site in set().union(*RANGE_RULE_SITES.values()):
         assert f"`{site}`" in section, site
+
+
+def test_only_linalg_crosses_the_scaling():
+    # ScaledProblem.rescale and unscale are the one crossing of
+    # W = 2^e E W'. No other module names ldexp or reads a scale or an
+    # exponent, so the convention cannot be hand-rolled outside the module
+    # that owns it; pcg_refine's own scale-in lost dead rows and overflowed.
+    crossings = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, a, None) for a in ("id", "attr", "name")}
+            if names & {"ldexp", "scale", "exponent"}:
+                crossings.add(path.stem)
+    assert crossings == {"linalg"}

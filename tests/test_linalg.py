@@ -173,8 +173,8 @@ def test_eigendecompose_rejects_indefinite():
 
 
 def step_ridge_solve(h, rho, b):
-    zeros = np.zeros_like(b)
-    state = initial_state(ScaledProblem(np.ones(len(h)), h, zeros))
+    n = len(h)
+    state = initial_state(ScaledProblem(np.ones(n), h, np.zeros_like(b), np.ones(n, bool)))
     state = replace(state, qtv=state.q.T @ -b)
     admm_step(state, rho, Unstructured(b.size))
     return state.q @ state.qtw

@@ -155,12 +155,25 @@ def test_refine_returns_c_times_the_unscaled_refinement(c, g, kept):
     # The refinement checks no metric, so on W_hat normalized by a power of
     # two it has no range edge in c or g. Without the normalization it
     # raised here, and before that it warned on overflow and returned
-    # weights 37% off, drifted, or returned the zero start.
+    # weights 37% off, drifted, or returned the zero start. A warm start,
+    # W_hat magnitude-pruned, crosses the scaling as W_hat does, the power
+    # of two first: divided by E first, it overflowed at 1e160 on 1e300.
     h, w_hat = scale_instance()
     support = mp_support(w_hat, kept)
-    expected = pcg_refine(h, w_hat, support, np.zeros(w_hat.shape))
-    out = pcg_refine(g * h, c * w_hat, support, np.zeros(w_hat.shape))
-    assert np.linalg.norm(out / c - expected) <= 1e-12 * np.linalg.norm(expected)
+    for w0 in (np.zeros(w_hat.shape), np.where(support, w_hat, 0.0)):
+        expected = pcg_refine(h, w_hat, support, w0)
+        out = pcg_refine(g * h, c * w_hat, support, c * w0)
+        assert np.linalg.norm(out / c - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_refine_rejects_a_warm_start_the_scaling_takes_past_float64():
+    # e is W_hat's alone, so 2^-e takes this w0 past float64, and the
+    # refinement says so. An e over W_hat and w0 together keeps w0 in
+    # range but underflows W_hat to zero: it returned [0, 0], not W_hat.
+    w_hat = np.full((2, 1), 1e-300)
+    w0 = np.array([[1e300], [0.0]])
+    with pytest.raises(DegenerateInstanceError, match="^a rescaled weight overflows float64$"):
+        pcg_refine(np.eye(2), w_hat, np.ones((2, 1), bool), w0)
 
 
 @pytest.mark.parametrize(
@@ -205,6 +218,15 @@ def test_refine_leaves_dead_channels_at_the_warm_start():
     out = pcg_refine(h, w_hat, support, w0)
     np.testing.assert_array_equal(out[3], w0[3])
     assert not np.array_equal(out, w0)
+
+
+def test_refine_returns_dead_rows_exactly():
+    # Dead rows never cross the scaling. At e = 998 a round trip through
+    # 2^-e and 2^e underflowed this warm start's 1e-300 to 0.0.
+    h = np.diag([1.0, 1e-13])
+    w_hat = np.array([[1e300], [0.0]])
+    out = pcg_refine(h, w_hat, np.ones((2, 1), bool), np.array([[0.0], [1e-300]]))
+    assert out[1, 0] == 1e-300
 
 
 def test_refine_rejects_an_all_zero_gram():
