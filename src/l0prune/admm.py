@@ -15,32 +15,33 @@ over the last CHECK_PERIOD iterations. Once the support stops changing
 the loop ends, and the polish below first solves for the optimal weights
 on the frozen support by conjugate gradient.
 
-H = Q diag(lambda) Q^T is factored once per solve into the state's q and
-lam, and the loop keeps W and V only in that eigenbasis, as Q^T W and
-Q^T V, next to Q^T G, Q^T D and D. The ridge solve is then a division by
-lambda + rho, and an iteration costs two dense products: W + V / rho =
-Q (Q^T W + Q^T V / rho), which is projected, and Q^T D of the new D.
-Because Q is orthogonal, ||D - D_prev||, ||W - D||, ||V||, ||G - H D|| =
-||Q^T G - diag(lambda) Q^T D|| and ||H V|| = ||diag(lambda) Q^T V|| are
-all taken in the eigenbasis, with no product.
+admm_solve factors H = Q diag(lambda) Q^T once per solve and hands the
+pair to admm_loop, whose state keeps W and V only in that eigenbasis, as
+Q^T W and Q^T V, next to Q^T G, Q^T D and D. The ridge solve is then a
+division by lambda + rho, and an iteration costs two dense products:
+W + V / rho = Q (Q^T W + Q^T V / rho), which is projected, and Q^T D of
+the new D. Because Q is orthogonal, ||D - D_prev||, ||W - D||, ||V||,
+||G - H D|| = ||Q^T G - diag(lambda) Q^T D|| and
+||H V|| = ||diag(lambda) Q^T V|| are all taken in the eigenbasis, with
+no product.
 
 The step runs in place, in six n x m buffers allocated once per solve:
 D, Q^T G, Q^T W, Q^T D, Q^T V and a spare. It forms ||D - D_prev|| and
 ||W - D|| from differences it needs anyway, and ||D||, ||V||,
 ||G - H D|| and ||H V|| are taken once after each step and carried into
 the next record as its pre-step norms. The state holds only these
-buffers, Q and lambda; admm_solve owns rho, the iteration count, the last
-checked support and the stop. Through the loop a solve holds the state,
-the scaled W_hat and Gram, and during a top-k projection the copy
-np.partition reorders. Only D and rho outlive the loop: the state and the
-support go before the polish, which reads only lambda_max. The polish
-holds at most five n x m arrays past its entry: W, the projected D', in
-which its refinement runs, and the refinement's residual, direction and
-H times it. Each round's step runs in the spent descent's buffer, which
-goes before the refinement. So the polish stays below the loop's eight.
-The loop sets a wide layer's memory peak, the eigendecomposition a tall
-one's: about 6 n^2, with NumPy's copy of the input, LAPACK's work array
-and Q beside the Gram.
+buffers, Q and lambda; admm_loop owns rho, the iteration count, the last
+checked support and the stop, and they die with the call. Through the
+loop a solve holds the state, the scaled W_hat and Gram, and during a
+top-k projection the copy np.partition reorders. Only D, rho and the
+trace outlive the loop, and admm_solve drops Q before the polish, which
+reads only lambda_max. The polish holds at most five n x m arrays past
+its entry: W, the projected D', in which its refinement runs, and the
+refinement's residual, direction and H times it. Each round's step runs
+in the spent descent's buffer, which goes before the refinement. So the
+polish stays below the loop's eight. The loop sets a wide layer's memory
+peak, the eigendecomposition a tall one's: about 6 n^2, with NumPy's
+copy of the input, LAPACK's work array and Q beside the Gram.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -103,10 +104,8 @@ class AdmmState:
     spare: np.ndarray
 
 
-def initial_state(scaled: ScaledProblem) -> AdmmState:
-    """Factor the scaled Gram; start from the dense weights: D = w_hat, V = 0."""
-    lam, q = eigendecompose(scaled.gram)
-    w_hat = scaled.w_hat
+def initial_state(w_hat: np.ndarray, lam: np.ndarray, q: np.ndarray) -> AdmmState:
+    """Start on the given factorization of the Gram from D = w_hat, V = 0."""
     qtd = q.T @ w_hat
     return AdmmState(
         q=q,
@@ -152,7 +151,7 @@ def rho_update(rho: float, s_t: int, k: int) -> float:
 
     A change of at least CHURN_THRESHOLDS[0] * k entries grows rho by
     RHO_MULTIPLIERS[0], one of at least [1] * k by [1], a smaller one by
-    [2]. admm_solve stops the loop on s_t = 0 instead of calling it.
+    [2]. admm_loop stops on s_t = 0 instead of calling it.
     """
     if s_t >= CHURN_THRESHOLDS[0] * k:
         return RHO_MULTIPLIERS[0] * rho
@@ -178,6 +177,47 @@ def _norms(state: AdmmState) -> tuple[float, float, float, float]:
     # Both V norms from one set of row sums, without an n x m temporary.
     rows = np.einsum("ij,ij->i", state.qtv, state.qtv)
     return _frob(state.d), math.sqrt(rows.sum()), _frob(gap), math.sqrt(lam**2 @ rows)
+
+
+def admm_loop(
+    w_hat, lam, q, budget: SparsityBudget, k: int, max_iters: int
+) -> tuple[np.ndarray, float, bool, IterTrace]:
+    """Run the alternating updates on the Gram's factorization (lam, q).
+
+    Starts from D = w_hat at rho = RHO0, grows rho by rho_update on budget
+    size k, and stops after max_iters steps or on a check period that
+    moved no support entry. Returns the last D, rho, whether it stopped
+    on the support, and the trace. The state dies with the call.
+    """
+    state = initial_state(w_hat, lam, q)
+    trace = IterTrace([], float(lam[-1]), math.sqrt(np.vdot(state.qtg, state.qtg)))
+    pre = _norms(state)
+    rho, support = RHO0, w_hat != 0.0
+    for t in range(1, max_iters + 1):
+        d_change, wd_gap = admm_step(state, rho, budget)
+        delta = None
+        if t % CHECK_PERIOD == 0:
+            current = state.d != 0.0
+            delta = support_change(current, support)
+            support = current
+        # Each step's post-step norms are the next record's pre-step ones.
+        post = _norms(state)
+        trace.records.append(
+            IterRecord(
+                rho,
+                *pre,
+                v_next_norm=post[1],
+                d_change=d_change,
+                wd_gap=wd_gap,
+                support_change=delta,
+            )
+        )
+        pre = post
+        if delta == 0:
+            break
+        if delta is not None:
+            rho = rho_update(rho, delta, k)
+    return state.d, rho, delta == 0, trace
 
 
 def polish(
@@ -230,69 +270,37 @@ def admm_solve(
 ) -> PruneSolution:
     """Solve the layer pruning problem under a sparsity budget.
 
-    Runs the alternating updates on preprocess's rescaled problem, whose
-    norms cannot leave float64, from rho = RHO0, until the support of D
-    survives a whole check period unchanged (or max_iters is hit, reported
-    via the stabilized flag), then polishes: refines the weights on the
-    frozen support with conjugate gradient, at most CG_ITERS iterations a
-    refinement, and runs at most max_iters monotone hard-thresholding
-    rounds. Last it undoes the scaling. The returned solution carries a
-    per-iteration trace, in the rescaled problem's units, the verdicts of
-    the three convergence checks of l0prune.diagnostics on it, the polish
-    rounds accepted, and in pcg_iters_used every refinement iteration the
-    solve ran, polish rounds included. Raises InvalidInputError when
-    max_iters is not a positive integer, and DegenerateInstanceError on
-    an all-zero Gram diagonal, when W_hat is nonzero only on dead
-    channels, on an answer weight past float64 (before its gap), and
-    where relative_error would on the answer.
+    Checks and rescales the inputs (preprocess's problem, whose norms cannot
+    leave float64), factors the rescaled Gram once, and runs admm_loop on
+    that factorization until the support of D survives a whole check
+    period unchanged (or max_iters is hit, reported via the stabilized
+    flag). Then it polishes: refines the weights on the frozen support with
+    conjugate gradient, at most CG_ITERS iterations a refinement, and runs
+    at most max_iters monotone hard-thresholding rounds. Last it undoes the
+    scaling. The returned solution carries a per-iteration trace, in the
+    rescaled problem's units, the verdicts of the three convergence checks
+    of l0prune.diagnostics on it, the polish rounds accepted, and in
+    pcg_iters_used every refinement iteration the solve ran, polish rounds
+    included. Raises InvalidInputError when max_iters is not a positive
+    integer, and DegenerateInstanceError on an all-zero Gram diagonal, when
+    W_hat is nonzero only on dead channels, on an answer weight past
+    float64 (before its gap), and where relative_error would on the answer.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)
     h, w_hat = check_instance(h, w_hat)
     k_eff = budget_size(budget, w_hat.shape)
     scaled = preprocess(h, w_hat)
-    # Only the state holds Q, so deleting the state frees it.
-    state = initial_state(scaled)
-    spectral_norm = float(state.lam[-1])
-    trace = IterTrace([], spectral_norm, math.sqrt(np.vdot(state.qtg, state.qtg)))
-    pre = _norms(state)
-    # ||D|| starts as the rescaled W_hat's norm, zero here only if the
-    # rescaling zeroed every row: then the signal sits on dead channels.
-    if pre[0] == 0.0 and w_hat.any():
+    lam, q = eigendecompose(scaled.gram)
+    # After the factorization, whose PSD check outranks it: the rescaling
+    # zeroes only dead rows, so a zero rescaled W_hat from a nonzero one
+    # puts the signal on dead channels.
+    if not scaled.w_hat.any() and w_hat.any():
         raise DegenerateInstanceError("the dense weights are nonzero only on dead channels")
-    rho, support = RHO0, scaled.w_hat != 0.0
-    stabilized = False
-    for t in range(1, max_iters + 1):
-        d_change, wd_gap = admm_step(state, rho, budget)
-        delta = None
-        if t % CHECK_PERIOD == 0:
-            current = state.d != 0.0
-            delta = support_change(current, support)
-            support = current
-            del current  # else it holds the last support through the polish
-        # Each step's post-step norms are the next record's pre-step ones.
-        post = _norms(state)
-        trace.records.append(
-            IterRecord(
-                rho,
-                *pre,
-                v_next_norm=post[1],
-                d_change=d_change,
-                wd_gap=wd_gap,
-                support_change=delta,
-            )
-        )
-        pre = post
-        if delta == 0:
-            stabilized = True
-            break
-        if delta is not None:
-            rho = rho_update(rho, delta, k_eff)
-
-    # Only D goes on: the other iterates, the work buffers, Q and the
-    # support must not stay alive through the polish.
-    d = state.d
-    del state, support
+    d, rho, stabilized, trace = admm_loop(scaled.w_hat, lam, q, budget, k_eff, max_iters)
+    # Only D goes on: Q must not stay alive through the polish.
+    spectral_norm = float(lam[-1])
+    del lam, q
     polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, max_iters)
     return build_solution(
         scaled.unscale(polished), h, w_hat, "alps",

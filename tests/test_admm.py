@@ -35,7 +35,7 @@ from l0prune.admm import (
     RHO0,
     RHO_MULTIPLIERS,
     AdmmState,
-    ScaledProblem,
+    admm_loop,
     admm_step,
     initial_state,
     polish,
@@ -193,7 +193,8 @@ def test_state_holds_only_the_factorization_and_buffers():
     # The penalty, the iteration count and the support are the loop's.
     names = [f.name for f in fields(AdmmState)]
     assert names == ["q", "lam", "d", "qtg", "qtw", "qtd", "qtv", "spare"]
-    state = initial_state(preprocess(*random_problem(np.random.default_rng(2), 6, 3)))
+    scaled = preprocess(*random_problem(np.random.default_rng(2), 6, 3))
+    state = initial_state(scaled.w_hat, *eigendecompose(scaled.gram))
     assert all(isinstance(getattr(state, name), np.ndarray) for name in names)
 
 
@@ -202,7 +203,7 @@ def test_first_step_fixes_dense_weights():
     rng = np.random.default_rng(2)
     h, w_hat = random_problem(rng, 6, 3)
     scaled = preprocess(h, w_hat)
-    state = initial_state(scaled)
+    state = initial_state(scaled.w_hat, *eigendecompose(scaled.gram))
     admm_step(state, 0.1, Unstructured(18))
     np.testing.assert_allclose(state.q @ state.qtw, scaled.w_hat, atol=1e-12)
 
@@ -210,8 +211,7 @@ def test_first_step_fixes_dense_weights():
 def test_step_with_zero_gram_copies_sparse_iterate():
     # With H = 0, G = 0 and V = 0, the dense update is W = (rho D) / rho = D.
     w_hat = np.arange(6.0).reshape(3, 2)
-    live = np.ones(3, bool)
-    state = initial_state(ScaledProblem(np.ones(3), np.zeros((3, 3)), w_hat, live))
+    state = initial_state(w_hat, *eigendecompose(np.zeros((3, 3))))
     d = state.d.copy()  # the step overwrites the state in place
     admm_step(state, 2.0, Unstructured(6))
     np.testing.assert_allclose(state.q @ state.qtw, d, atol=1e-14)
@@ -221,9 +221,7 @@ def test_step_on_diagonal_gram_by_hand():
     # H = diag(1, 4), W_hat = (1, 1), rho = 1, keep one weight. Step 1
     # returns W = W_hat, keeps the first of the tied entries, V = (0, 1).
     # Step 2: W = (G - V + D) / (diag(H) + 1) = (2, 3) / (2, 5).
-    live = np.ones(2, bool)
-    scaled = ScaledProblem(np.ones(2), np.diag([1.0, 4.0]), np.ones((2, 1)), live)
-    state = initial_state(scaled)
+    state = initial_state(np.ones((2, 1)), *eigendecompose(np.diag([1.0, 4.0])))
     admm_step(state, 1.0, Unstructured(1))
     np.testing.assert_allclose(state.q @ state.qtw, [[1.0], [1.0]], atol=1e-14)
     np.testing.assert_array_equal(state.d, [[1.0], [0.0]])
@@ -239,7 +237,7 @@ def test_step_matches_explicit_inverse(rho):
     rng = np.random.default_rng(3)
     h, w_hat = random_problem(rng, 5, 2)
     scaled = preprocess(h, w_hat)
-    state = initial_state(scaled)
+    state = initial_state(scaled.w_hat, *eigendecompose(scaled.gram))
     budget = Unstructured(4)
     for _ in range(3):
         admm_step(state, rho, budget)
@@ -282,7 +280,7 @@ def test_step_matches_original_basis_loop(case, budget):
     sol = admm_solve(h, w_hat, budget, max_iters=40)
     # preprocess trusts the float64 arrays admm_solve makes of its inputs.
     scaled = preprocess(h.astype(np.float64), w_hat.astype(np.float64))
-    state = initial_state(scaled)
+    state = initial_state(scaled.w_hat, *eigendecompose(scaled.gram))
     hp = scaled.gram
     g = hp @ scaled.w_hat
     d, v = scaled.w_hat.copy(), np.zeros_like(scaled.w_hat)
@@ -386,6 +384,49 @@ def test_loop_memory_is_eight_weight_arrays(budget):
     assert peak <= (8.5 * n_in * n_out + 2 * n_in * n_in) * 8
 
 
+def test_budgets_on_one_factorization_match_their_solves():
+    # admm_loop and polish on a factorization held across budgets give
+    # each budget's admm_solve bit for bit: the loop only reads lambda and Q.
+    h, w_hat = scale_instance()
+    scaled = preprocess(h, w_hat)
+    lam, q = eigendecompose(scaled.gram)
+    for budget in (budget_from_sparsity(0.7, *w_hat.shape), NM(2, 4),
+                   budget_from_sparsity(0.9, *w_hat.shape)):
+        k = budget_size(budget, w_hat.shape)
+        d, rho, stabilized, trace = admm_loop(scaled.w_hat, lam, q, budget, k, MAX_ITERS)
+        w, rounds, cg_iters = polish(scaled, float(lam[-1]), budget, d, MAX_ITERS)
+        sol = admm_solve(h, w_hat, budget)
+        assert np.array_equal(scaled.unscale(w), sol.w)
+        assert trace == sol.trace
+        assert (rho, stabilized, len(trace), cg_iters, rounds) == (
+            sol.rho_final, sol.stabilized, sol.iterations, sol.pcg_iters_used,
+            sol.polish_rounds,
+        )
+
+
+def test_held_factorization_keeps_the_loop_memory_bound():
+    # A caller holding lambda and Q across solves keeps Q through every
+    # polish; the loop still sets the peak, within the bound of
+    # test_loop_memory_is_eight_weight_arrays on its instance.
+    n_in, n_out = 64, 1024
+    h, w_hat = random_problem(np.random.default_rng(1), n_in, n_out)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        scaled = preprocess(h, w_hat)
+        lam, q = eigendecompose(scaled.gram)
+        for budget in (budget_from_sparsity(0.7, n_in, n_out), NM(2, 4)):
+            k = budget_size(budget, w_hat.shape)
+            d = admm_loop(scaled.w_hat, lam, q, budget, k, MAX_ITERS)[0]
+            w = polish(scaled, float(lam[-1]), budget, d, MAX_ITERS)[0]
+            del d, w
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= (8.5 * n_in * n_out + 2 * n_in * n_in) * 8
+
+
 @pytest.mark.parametrize(
     "budget", [budget_from_sparsity(0.7, 64, 1024), NM(2, 4)], ids=["topk", "nm24"]
 )
@@ -418,7 +459,7 @@ def test_sparse_iterate_feasible_after_every_step():
     h, w_hat = random_problem(rng, 6, 4)
     scaled = preprocess(h, w_hat)
     for budget in (Unstructured(7), NM(2, 3)):
-        s = initial_state(scaled)
+        s = initial_state(scaled.w_hat, *eigendecompose(scaled.gram))
         cap = budget_size(budget, w_hat.shape)
         for _ in range(10):
             admm_step(s, 0.1, budget)
@@ -554,6 +595,16 @@ def test_weights_only_on_dead_channels_are_rejected():
         admm_solve(h, w_hat, Unstructured(2))
     assert activation_weighted_prune(w_hat, h, Unstructured(2)).rel_error == 0.0
     assert np.array_equal(pcg_refine(h, w_hat, w_hat != 0.0, w_hat), w_hat)
+
+
+def test_an_indefinite_gram_is_reported_before_dead_channels():
+    # The live block [[1, 2], [2, 1]] is indefinite and every weight sits
+    # on the dead channel 2: the Gram's fault is the caller's input error,
+    # so the factorization's check runs before the dead-channel rule.
+    h = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    w_hat = np.array([[0.0], [0.0], [1.0]])
+    with pytest.raises(InvalidInputError, match="gram is not positive semidefinite"):
+        admm_solve(h, w_hat, Unstructured(1))
 
 
 def test_metrics_are_measured_on_the_callers_gram():
@@ -864,13 +915,14 @@ def test_polish_rounds_accepted_only_when_the_objective_falls():
 
 
 def test_polish_runs_without_loop_iterates(monkeypatch):
-    # The state, its buffers and Q, and the supports the loop checked must
-    # not stay alive through the polish, where they would raise the
-    # solve's memory peak; only the last D is handed over.
+    # The state, its buffers, lambda and Q (which admm_solve itself also
+    # holds), and the supports the loop checked must not stay alive
+    # through the polish, where they would raise the solve's memory peak;
+    # only the last D is handed over.
     held = []
 
-    def tracked_initial_state(scaled):
-        state = initial_state(scaled)
+    def tracked_initial_state(w_hat, lam, q):
+        state = initial_state(w_hat, lam, q)
         held.append(weakref.ref(state))
         held.extend(weakref.ref(a) for a in vars(state).values())
         return state

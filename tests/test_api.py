@@ -53,8 +53,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0prune"
 # The rescaling is defined in l0prune.linalg; l0prune.admm imports it, and
 # bench/tracer.py times the solver's call there as admm.preprocess.
 INTERNALS = {
-    "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_step", "initial_state",
-                     "preprocess", "rho_update"],
+    "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_loop", "admm_step",
+                     "initial_state", "preprocess", "rho_update"],
     "l0prune.diagnostics": ["IterRecord", "IterTrace", "TheoremBound", "Violation",
                             "check_lemma1", "check_lemma2", "theorem1_residual_bound"],
     "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance", "check_range",
@@ -232,3 +232,16 @@ def test_only_linalg_crosses_the_scaling():
             if names & {"ldexp", "scale", "exponent"}:
                 crossings.add(path.stem)
     assert crossings == {"linalg"}
+
+
+def test_only_admm_solve_factors_the_gram():
+    # A solve factors its rescaled Gram at one site and hands the pair to
+    # admm_loop, so no kernel can factor it again.
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _nodes_by_function(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "eigendecompose" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                callers.add(f"{path.stem}.{owner}")
+    assert callers == {"admm.admm_solve"}

@@ -556,6 +556,16 @@ def test_negative_definite_gram_exits_2(workspace, tmp_path, capsys, command, di
     assert "not positive semidefinite" in capsys.readouterr().err
 
 
+def test_indefinite_gram_with_weights_on_dead_channels_exits_2(tmp_path, capsys):
+    # Invalid input outranks a degenerate instance: the live block is
+    # indefinite, and the only weight sits on the dead channel.
+    gram, weights = tmp_path / "h.amtx", tmp_path / "w.amtx"
+    write_matrix(gram, np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    write_matrix(weights, np.array([[0.0], [0.0], [1.0]]))
+    assert run("prune", "--weights", weights, "--gram", gram, "--k", 1) == 2
+    assert "not positive semidefinite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n,m,n_in", [(1, 3, 9), (3, 7, 21)])
 def test_nm_budget_block_sparsity_is_n_over_m(n, m, n_in):
     # Taken from the kept count, it must still be the float 1 - n / m,

@@ -13,7 +13,7 @@ from l0prune import (
     layer_objective,
     relative_error,
 )
-from l0prune.admm import ScaledProblem, admm_step, initial_state
+from l0prune.admm import admm_step, initial_state
 from l0prune.linalg import as_matrix, check_instance, eigendecompose, validate_gram
 
 from conftest import random_psd, scale_instance
@@ -173,8 +173,7 @@ def test_eigendecompose_rejects_indefinite():
 
 
 def step_ridge_solve(h, rho, b):
-    n = len(h)
-    state = initial_state(ScaledProblem(np.ones(n), h, np.zeros_like(b), np.ones(n, bool)))
+    state = initial_state(np.zeros_like(b), *eigendecompose(h))
     state = replace(state, qtv=state.q.T @ -b)
     admm_step(state, rho, Unstructured(b.size))
     return state.q @ state.qtw
