@@ -23,7 +23,6 @@ from .baselines import (
 )
 from .errors import (
     DegenerateInstanceError,
-    DegenerateSupportError,
     InvalidInputError,
     PruneError,
 )
@@ -34,7 +33,6 @@ from .projections import NM, Unstructured, budget_from_sparsity, support_of
 
 __all__ = [
     "DegenerateInstanceError",
-    "DegenerateSupportError",
     "InvalidInputError",
     "NM",
     "PruneError",

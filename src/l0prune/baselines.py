@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .diagnostics import IterTrace, TheoremBound, Violation
-from .errors import DegenerateInstanceError, DegenerateSupportError, InvalidInputError
+from .errors import DegenerateInstanceError, InvalidInputError
 from .linalg import (
     as_matrix, check_finite, check_instance, objective_and_error, output_energy, quadratic_form,
 )
@@ -75,17 +75,18 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
     support is a boolean array shaped like w_hat, as support_of returns
     it. For each output column solves the normal equations of the layer
     objective restricted to that column's support rows. Columns with an
-    empty support come back zero. A singular restricted system raises
-    DegenerateSupportError naming the offending column; H W_hat past
-    float64's range raises DegenerateInstanceError first.
+    empty support come back zero. A singular restricted system gets its
+    minimum-norm optimum, so a kept dead input holds 0. H W_hat or an
+    answer weight past float64's range raises DegenerateInstanceError.
     """
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         g = h @ w_hat
-    # An entry past float64's range would be blamed on the support below.
-    check_finite(g, "H W_hat")
-    return _backsolve(h, g, support)
+    check_finite((g.max(), g.min()), "H W_hat")
+    w = _backsolve(h, g, support)
+    check_finite((w.max(), w.min()), "an exact weight")
+    return w
 
 
 def _backsolve(h: np.ndarray, g: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -95,12 +96,12 @@ def _backsolve(h: np.ndarray, g: np.ndarray, support: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(support[:, j])
         if rows.size == 0:
             continue
+        sub, rhs = h[np.ix_(rows, rows)], g[rows, j]
         try:
-            w[rows, j] = np.linalg.solve(h[np.ix_(rows, rows)], g[rows, j])
+            w[rows, j] = np.linalg.solve(sub, rhs)
         except np.linalg.LinAlgError:
-            raise DegenerateSupportError(j) from None
-        if not np.all(np.isfinite(w[rows, j])):
-            raise DegenerateSupportError(j)
+            # rhs = H[rows] W_hat lies in the range of the PSD sub: consistent.
+            w[rows, j] = np.linalg.lstsq(sub, rhs, rcond=None)[0]
     return w
 
 
@@ -110,8 +111,8 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
     Only available for at most BRUTE_FORCE_LIMIT weights; the candidate
     count explodes combinatorially beyond that. The instance is checked
     and G = H W_hat formed once; each candidate then goes straight to the
-    exact solver's kernel. Supports whose restricted system is singular
-    cannot be certified by the exact solver and are skipped. Objective
+    exact solver's kernel. A singular candidate is solved at minimum norm,
+    not skipped, so dead inputs cost what a full-rank layer does. Objective
     ties resolve to the lexicographically smallest support, which
     enumeration order provides for free.
     """
@@ -131,17 +132,14 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
     for indices in combinations(range(size), k):
         mask = np.zeros(size, dtype=bool)
         mask[list(indices)] = True
-        try:
-            w = _backsolve(h, g, mask.reshape(n_in, n_out))
-        except DegenerateSupportError:
-            continue
-        # Clamped at zero as layer_objective clamps it.
+        w = _backsolve(h, g, mask.reshape(n_in, n_out))
+        # Clamped at zero as layer_objective clamps it; an inf or NaN never wins.
         obj = max(quadratic_form(h, w_hat - w)[1], 0.0)
         if obj < best_obj:
             best_obj = obj
             best_w = w
     if best_w is None:
-        raise DegenerateInstanceError("every candidate support was singular")
+        raise DegenerateInstanceError("no candidate support has a finite objective")
     return build_solution(best_w, h, w_hat, "brute_force")
 
 

@@ -2,7 +2,6 @@
 
 The CLI exits with 3 on a DegenerateInstanceError and with 2 on any other
 PruneError: invalid arguments, malformed matrix files, bad traces.
-Brute-force enumeration skips a candidate that raises DegenerateSupportError.
 """
 
 
@@ -17,11 +16,3 @@ class InvalidInputError(PruneError):
 class DegenerateInstanceError(PruneError):
     """No usable signal (e.g. an all-zero Gram diagonal), an instance beyond
     float64's range, or a singular system."""
-
-
-class DegenerateSupportError(DegenerateInstanceError):
-    """A support column induces a singular restricted system."""
-
-    def __init__(self, column: int):
-        self.column = column
-        super().__init__(f"singular restricted system in column {column}")

@@ -15,7 +15,6 @@ from l0prune.cli import build_parser
 
 PUBLIC_API = [
     "DegenerateInstanceError",
-    "DegenerateSupportError",
     "InvalidInputError",
     "NM",
     "PruneError",
@@ -163,6 +162,25 @@ def _nodes_by_function(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to export; any other module's import is used, so a
+    # deletion cannot leave a dead import of what it removed behind.
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update(f"{path.stem}.{name}" for name in imported - used)
+    assert not unused
 
 
 def test_float64_range_rule_lives_in_check_range():

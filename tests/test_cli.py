@@ -15,8 +15,10 @@ from l0prune import (
     Unstructured,
     activation_weighted_prune,
     admm_solve,
+    backsolve_exact,
     brute_force_support,
     gram_from_activations,
+    layer_objective,
     magnitude_prune,
     read_matrix,
     relative_error,
@@ -587,20 +589,33 @@ def test_oracle_brute_force_checks_the_instance_before_k(tmp_path, capsys):
     )
 
 
-def test_oracle_on_a_singular_support_exits_3_naming_the_column(tmp_path, capsys):
-    # Input channel 2 is dead, so any column that keeps row 2 has a
-    # singular restricted system; column 1 is the first to keep it.
+def test_oracle_on_a_singular_support_exits_3_naming_the_column(tmp_path):
+    # Input channel 2 is dead, so column 1, which keeps row 2, has a
+    # singular restricted system. Its minimum-norm optimum holds 0 there,
+    # so the answer is the exact solve on the support without row 2.
     rng = np.random.default_rng(5)
     x = rng.standard_normal((32, 4))
     x[:, 2] = 0.0
-    w_hat = rng.standard_normal((4, 3))
+    h, w_hat = gram_from_activations(x), rng.standard_normal((4, 3))
     pruned = w_hat.copy()
     pruned[2, [0, 2]] = 0.0
-    for name, m in [("w", w_hat), ("h", gram_from_activations(x)), ("p", pruned)]:
+    for name, m in [("w", w_hat), ("h", h), ("p", pruned)]:
         write_matrix(tmp_path / f"{name}.amtx", m)
     code = run(
         "oracle", "--weights", tmp_path / "w.amtx", "--gram", tmp_path / "h.amtx",
-        "--pruned", tmp_path / "p.amtx",
+        "--pruned", tmp_path / "p.amtx", "--out", tmp_path / "out.amtx",
+        "--report", tmp_path / "report.json",
     )
-    assert code == 3
-    assert capsys.readouterr().err == "error: singular restricted system in column 1\n"
+    assert code == 0
+    out = read_matrix(tmp_path / "out.amtx")
+    assert out[2, 1] == 0.0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["support_size"], report["budget"]["k"]) == (9, 10)
+    live = pruned != 0.0
+    live[2] = False
+    expected = backsolve_exact(h, w_hat, live)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
+    energy = layer_objective(h, w_hat, np.zeros_like(w_hat))
+    assert report["objective"] == pytest.approx(
+        layer_objective(h, w_hat, expected), rel=0.0, abs=1e-12 * energy
+    )
