@@ -28,8 +28,8 @@ no product.
 The step runs in place, in six n x m buffers allocated once per solve:
 D, Q^T G, Q^T W, Q^T D, Q^T V and a spare. It forms ||D - D_prev|| and
 ||W - D|| from differences it needs anyway, and ||D||, ||V||,
-||G - H D|| and ||H V|| are taken once after each step and carried into
-the next record as its pre-step norms. The state holds only these
+||G - H D|| and ||H V|| are taken once per iterate, the start's included,
+and kept in the trace's per-iterate arrays. The state holds only these
 buffers, Q and lambda; admm_loop owns rho, the iteration count, the last
 checked support and the stop, and they die with the call. Through the
 loop a solve holds the state, the scaled W_hat and Gram, and during a
@@ -68,7 +68,7 @@ import numpy as np
 
 from .baselines import PruneSolution, build_solution
 from .diagnostics import (
-    IterRecord, IterTrace, check_lemma1, check_lemma2, theorem1_residual_bound,
+    IterTrace, check_lemma1, check_lemma2, theorem1_residual_bound,
 )
 from .errors import DegenerateInstanceError
 from .linalg import ScaledProblem, check_instance, eigendecompose, preprocess, quadratic_form
@@ -190,33 +190,24 @@ def admm_loop(
     on the support, and the trace. The state dies with the call.
     """
     state = initial_state(w_hat, lam, q)
-    trace = IterTrace([], float(lam[-1]), math.sqrt(np.vdot(state.qtg, state.qtg)))
-    pre = _norms(state)
+    norms, steps = [_norms(state)], []
     rho, support = RHO0, w_hat != 0.0
     for t in range(1, max_iters + 1):
         d_change, wd_gap = admm_step(state, rho, budget)
-        delta = None
+        delta = -1
         if t % CHECK_PERIOD == 0:
             current = state.d != 0.0
             delta = support_change(current, support)
             support = current
-        # Each step's post-step norms are the next record's pre-step ones.
-        post = _norms(state)
-        trace.records.append(
-            IterRecord(
-                rho,
-                *pre,
-                v_next_norm=post[1],
-                d_change=d_change,
-                wd_gap=wd_gap,
-                support_change=delta,
-            )
-        )
-        pre = post
+        norms.append(_norms(state))
+        steps.append((rho, d_change, wd_gap, delta))
         if delta == 0:
             break
-        if delta is not None:
+        if delta > 0:
             rho = rho_update(rho, delta, k)
+    g_norm = math.sqrt(np.vdot(state.qtg, state.qtg))
+    columns = (np.array(c) for c in (*zip(*steps), *zip(*norms)))
+    trace = IterTrace(*columns, h_spectral=float(lam[-1]), g_norm=g_norm)
     return state.d, rho, delta == 0, trace
 
 
@@ -305,7 +296,7 @@ def admm_solve(
     return build_solution(
         scaled.unscale(polished), h, w_hat, "alps",
         stabilized=stabilized,
-        iterations=len(trace.records),
+        iterations=len(trace),
         rho_final=rho,
         pcg_iters_used=pcg_iters,
         polish_rounds=polish_rounds,

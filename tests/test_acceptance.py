@@ -50,6 +50,29 @@ def tracked_solve(h, w_hat, budget, runs):
     return sol
 
 
+def _ratio(lhs, bound):
+    """The largest lhs / bound where the bound is positive, or 0."""
+    ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0)
+    return float(np.max(ratio, initial=0.0))
+
+
+def tightest_lemma_ratios(trace):
+    """How close a trace comes to each lemma's bound, as left side over bound.
+
+    Lemma 1 over both of its inequalities, from step 1 on as check_lemma1
+    reads it; Lemma 2 past the start, where the bound equals the left side.
+    """
+    rho = trace.rho
+    bound1 = trace.grad_gap[1:-1] + trace.hv_norm[1:-1] / rho[1:]
+    lemma1 = max(_ratio(trace.v_norm[2:], bound1),
+                 _ratio(trace.d_change[1:], 2.0 / rho[1:] * bound1))
+    a = trace.d_norm[:-1] + trace.v_norm[:-1] / rho
+    with np.errstate(over="ignore"):
+        growth = np.exp(np.cumsum(np.log1p(3.0 * trace.h_spectral / rho)))
+    bound2 = growth[:-1] * (a[0] + np.cumsum(3.0 * trace.g_norm / rho)[:-1])
+    return lemma1, _ratio(a[1:], bound2)
+
+
 @pytest.fixture(scope="module")
 def support_quality_runs():
     """50 correlated 64x32 instances at four sparsities, vs magnitude pruning."""
@@ -204,24 +227,27 @@ def test_5_theory_suite(
         + identity_gram_runs["runs"]
     )
     lemma1 = lemma2 = 0
-    worst_ratio = 0.0
+    worst_ratio = tight1 = tight2 = 0.0
     gap_checked = 0
     gap_failed = 0
     for run in all_runs:
         trace = run["trace"]
         lemma1 += len(check_lemma1(trace))
         lemma2 += len(check_lemma2(trace))
+        ratios = tightest_lemma_ratios(trace)
+        tight1, tight2 = max(tight1, ratios[0]), max(tight2, ratios[1])
         bound = theorem1_residual_bound(trace)
         worst_ratio = max(worst_ratio, bound.worst_ratio)
         if run["stabilized"] and run["rho_final"] >= 1000.0 * RHO0:
             gap_checked += 1
-            final_gap = trace.records[-1].wd_gap
+            final_gap = trace.wd_gap[-1]
             if final_gap > 1e-6 * run["scaled_w_norm"]:
                 gap_failed += 1
     ok = lemma1 == 0 and lemma2 == 0 and worst_ratio <= 1.0 + 1e-6 and gap_failed == 0
     line = announce(
         5, "theory-suite", ok,
         f"{len(all_runs)} traces, lemma violations {lemma1}+{lemma2}, "
+        f"tightest lemma ratios {tight1:.3f} and {tight2:.2e} (past the start), "
         f"worst residual ratio {worst_ratio:.2e}, "
         f"gap check on {gap_checked} high-penalty runs ({gap_failed} failed)",
     )

@@ -54,7 +54,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0prune"
 INTERNALS = {
     "l0prune.admm": ["AdmmState", "ScaledProblem", "admm_loop", "admm_step",
                      "initial_state", "preprocess", "rho_update"],
-    "l0prune.diagnostics": ["IterRecord", "IterTrace", "TheoremBound", "Violation",
+    "l0prune.diagnostics": ["IterTrace", "TheoremBound", "Violation",
                             "check_lemma1", "check_lemma2", "theorem1_residual_bound"],
     "l0prune.linalg": ["DEAD_DIAG_RTOL", "ScaledProblem", "check_instance", "check_range",
                        "eigendecompose", "preprocess", "validate_gram"],
