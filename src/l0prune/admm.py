@@ -137,9 +137,9 @@ def admm_step(
     qtd_next = np.matmul(state.q.T, d_next, out=d)
     # Q is orthogonal, so both norms can be taken in the eigenbasis, in
     # the old Q^T D's buffer: D - D_prev, then W - D for the dual update.
-    d_change = _frob(np.subtract(qtd_next, qtd, out=qtd))
+    d_change = np.linalg.norm(np.subtract(qtd_next, qtd, out=qtd))
     gap = np.subtract(qtw, qtd_next, out=qtd)
-    wd_gap = _frob(gap)
+    wd_gap = np.linalg.norm(gap)
     gap *= rho
     qtv += gap
     state.d, state.qtd, state.spare = d_next, qtd_next, gap
@@ -160,10 +160,6 @@ def rho_update(rho: float, s_t: int, k: int) -> float:
     return RHO_MULTIPLIERS[2] * rho
 
 
-def _frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def _norms(state: AdmmState) -> tuple[float, float, float, float]:
     """||D||, ||V||, ||G - H D|| and ||H V|| of the current iterates.
 
@@ -176,18 +172,19 @@ def _norms(state: AdmmState) -> tuple[float, float, float, float]:
     np.subtract(state.qtg, gap, out=gap)
     # Both V norms from one set of row sums, without an n x m temporary.
     rows = np.einsum("ij,ij->i", state.qtv, state.qtv)
-    return _frob(state.d), math.sqrt(rows.sum()), _frob(gap), math.sqrt(lam**2 @ rows)
+    return (np.linalg.norm(state.d), math.sqrt(rows.sum()),
+            np.linalg.norm(gap), math.sqrt(lam**2 @ rows))
 
 
 def admm_loop(
     w_hat, lam, q, budget: SparsityBudget, k: int, max_iters: int
-) -> tuple[np.ndarray, float, bool, IterTrace]:
+) -> tuple[np.ndarray, float, IterTrace]:
     """Run the alternating updates on the Gram's factorization (lam, q).
 
     Starts from D = w_hat at rho = RHO0, grows rho by rho_update on budget
     size k, and stops after max_iters steps or on a check period that
-    moved no support entry. Returns the last D, rho, whether it stopped
-    on the support, and the trace. The state dies with the call.
+    moved no support entry, its last support_change 0. Returns the last D,
+    rho and the trace; the state dies with the call.
     """
     state = initial_state(w_hat, lam, q)
     norms, steps = [_norms(state)], []
@@ -208,7 +205,7 @@ def admm_loop(
     g_norm = math.sqrt(np.vdot(state.qtg, state.qtg))
     columns = (np.array(c) for c in (*zip(*steps), *zip(*norms)))
     trace = IterTrace(*columns, h_spectral=float(lam[-1]), g_norm=g_norm)
-    return state.d, rho, delta == 0, trace
+    return state.d, rho, trace
 
 
 def polish(
@@ -288,14 +285,14 @@ def admm_solve(
     # puts the signal on dead channels.
     if not scaled.w_hat.any() and w_hat.any():
         raise DegenerateInstanceError("the dense weights are nonzero only on dead channels")
-    d, rho, stabilized, trace = admm_loop(scaled.w_hat, lam, q, budget, k_eff, max_iters)
+    d, rho, trace = admm_loop(scaled.w_hat, lam, q, budget, k_eff, max_iters)
     # Only D goes on: Q must not stay alive through the polish.
     spectral_norm = float(lam[-1])
     del lam, q
     polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, max_iters)
     return build_solution(
         scaled.unscale(polished), h, w_hat, "alps",
-        stabilized=stabilized,
+        stabilized=bool(trace.support_change[-1] == 0),
         iterations=len(trace),
         rho_final=rho,
         pcg_iters_used=pcg_iters,

@@ -48,7 +48,7 @@ def _parse_nm(text: str) -> NM:
 
 def _load_gram(args) -> np.ndarray:
     """The --gram file, or the Gram streamed from --activations a block at a time."""
-    if getattr(args, "gram", None):
+    if args.gram:
         return read_matrix(args.gram)
     return gram_from_activations(read_row_blocks(args.activations))
 
@@ -145,12 +145,6 @@ def cmd_gram(args) -> int:
     return EXIT_OK
 
 
-def _add_source(parser, helps=(None, None)) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    for flag, text in zip(("--gram", "--activations"), helps):
-        source.add_argument(flag, help=text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l0prune",
@@ -158,9 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    prune = sub.add_parser("prune", help="prune a weight matrix")
-    prune.add_argument("--weights", required=True, help="dense weights file")
-    _add_source(prune, ("precomputed Gram matrix file", "calibration activations file"))
+    # The flags prune, eval and oracle share, each declared once.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--weights", required=True, help="dense weights file")
+    source = inputs.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gram", help="precomputed Gram matrix file")
+    source.add_argument("--activations", help="calibration activations file")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", help="where to write the pruned weights")
+    outputs.add_argument("--report", help="where to write the JSON report")
+
+    prune = sub.add_parser("prune", parents=[inputs, outputs], help="prune a weight matrix")
     budget = prune.add_mutually_exclusive_group(required=True)
     budget.add_argument("--sparsity", type=float, help="fraction of weights to zero")
     budget.add_argument("--nm", help="structured budget as N:M, e.g. 2:4")
@@ -169,36 +171,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("alps", "mp", "wanda"), default="alps",
         help="solver (alps) or baseline selection rule",
     )
-    prune.add_argument("--out", help="where to write the pruned weights")
-    prune.add_argument("--report", help="where to write the JSON report")
     prune.add_argument(
         "--max-iters", type=int, default=MAX_ITERS,
         help="cap on ADMM iterations and on polish rounds (alps only)",
     )
     prune.set_defaults(func=cmd_prune)
 
-    evaluate = sub.add_parser("eval", help="relative error of a pruned file")
-    evaluate.add_argument("--weights", required=True)
+    evaluate = sub.add_parser("eval", parents=[inputs], help="relative error of a pruned file")
     evaluate.add_argument("--pruned", required=True)
-    _add_source(evaluate)
     evaluate.set_defaults(func=cmd_eval)
 
-    oracle = sub.add_parser("oracle", help="exact reference solvers")
-    oracle.add_argument("--weights", required=True)
-    _add_source(oracle)
+    oracle = sub.add_parser("oracle", parents=[inputs, outputs], help="exact reference solvers")
     mode = oracle.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pruned", help="solve exactly on this file's support")
     mode.add_argument(
         "--brute-k", type=int, help="enumerate every support of this size"
     )
-    oracle.add_argument("--out")
-    oracle.add_argument("--report")
     oracle.set_defaults(func=cmd_oracle)
 
     gram = sub.add_parser("gram", help="accumulate X^T X from activations")
     gram.add_argument("--activations", required=True)
     gram.add_argument("--out", required=True)
-    gram.set_defaults(func=cmd_gram)
+    gram.set_defaults(func=cmd_gram, gram=None)
 
     return parser
 

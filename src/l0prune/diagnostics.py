@@ -61,7 +61,11 @@ class Violation:
 
 
 def _check_trace(trace: IterTrace) -> None:
-    """Raise InvalidInputError unless trace has IterTrace's layout, a step, rho in (0, inf)."""
+    """Raise InvalidInputError unless trace has IterTrace's layout and a step.
+
+    Its penalties must lie in (0, inf) and its norms be finite: every
+    inequality is false on NaN, so a NaN norm would pass every check.
+    """
     steps = (trace.rho, trace.d_change, trace.wd_gap, trace.support_change)
     iterates = (trace.d_norm, trace.v_norm, trace.grad_gap, trace.hv_norm)
     if not all(isinstance(a, np.ndarray) and a.ndim == 1 for a in steps + iterates):
@@ -76,6 +80,9 @@ def _check_trace(trace: IterTrace) -> None:
         raise InvalidInputError("trace has no steps")
     if not np.all((0.0 < trace.rho) & (trace.rho < math.inf)):
         raise InvalidInputError("trace has a penalty that is not positive and finite")
+    norms = (trace.d_change, trace.wd_gap, *iterates, trace.h_spectral, trace.g_norm)
+    if not all(np.isfinite(x).all() for x in norms):
+        raise InvalidInputError("trace has a norm that is not finite")
 
 
 def _violations(lhs, rhs, guard: float, inequality: str, first: int) -> list[Violation]:

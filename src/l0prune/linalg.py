@@ -118,7 +118,8 @@ class ScaledProblem:
         """W' = 2^-e E^-1 W in a new array, the power of two first as in preprocess."""
         w = np.ldexp(w, -self.exponent, out=w.copy(), where=self.live[:, None])
         w /= self.scale[:, None]
-        return _finite(w, "a rescaled weight")
+        check_finite(w, "a rescaled weight")
+        return w
 
     @np.errstate(over="ignore")
     def unscale(self, w: np.ndarray) -> np.ndarray:
@@ -126,13 +127,8 @@ class ScaledProblem:
         # Not in w: a kept result in a solve's early work buffer fragments the heap.
         w = self.scale[:, None] * w
         np.ldexp(w, self.exponent, out=w, where=self.live[:, None])
-        return _finite(w, "an unscaled weight")
-
-
-def _finite(w: np.ndarray, name: str) -> np.ndarray:
-    """w, once its extremes are finite: rescale's and unscale's one check."""
-    check_finite((w.max(), w.min()), name)
-    return w
+        check_finite(w, "an unscaled weight")
+        return w
 
 
 def preprocess(h: np.ndarray, w_hat: np.ndarray) -> ScaledProblem:
@@ -171,9 +167,10 @@ def check_finite(x, name: str) -> None:
 
     Raises DegenerateInstanceError when x, a value or an array, is not
     all finite: for values whose smallness is no loss, as a refinement's
-    residual or curvature, or an operand of an exact solve.
+    residual or curvature, or an operand of an exact solve. Read off max
+    and min, which propagate NaN, so an array costs no temporary.
     """
-    if not np.isfinite(x).all():
+    if not (np.isfinite(np.max(x)) and np.isfinite(np.min(x))):
         raise DegenerateInstanceError(f"{name} overflows float64")
 
 

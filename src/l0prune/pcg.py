@@ -98,16 +98,14 @@ def support_cg(
 
     p = r.copy()
     hp = np.empty_like(w)
-    rel_residual = 1.0
-    iterations = 0
-    for _ in range(max_iters):
+    for iterations in range(1, max_iters + 1):
         np.dot(h, p, out=hp)
         denom = np.vdot(p, hp)
         check_finite(denom, "curvature along the search direction")
         if denom <= 0.0:
             raise DegenerateInstanceError(
                 f"curvature {denom:.3e} along search direction with residual "
-                f"{rel_residual:.3e} of start"
+                f"{math.sqrt(rr) / r0_norm:.3e} of start"
             )
         alpha = rr / denom
         # hp is spent once scaled into the residual, so it then holds alpha p.
@@ -115,10 +113,8 @@ def support_cg(
         r -= hp
         r *= mask
         w += np.multiply(p, alpha, out=hp)
-        iterations += 1
         rr_new = np.vdot(r, r)
-        rel_residual = float(np.sqrt(rr_new)) / r0_norm
-        if rel_residual <= REL_TOL:
+        if math.sqrt(rr_new) / r0_norm <= REL_TOL:
             break
         p *= rr_new / rr
         p += r

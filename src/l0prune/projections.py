@@ -104,13 +104,11 @@ def support_change(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k largest scores, ties to the smaller flat index."""
+    """Mask of the k <= scores.size largest scores, ties to the smaller flat index."""
     flat = scores.ravel()
     size = flat.size
     if k <= 0:
         return np.zeros(scores.shape, dtype=bool)
-    if k >= size:
-        return np.ones(scores.shape, dtype=bool)
     threshold = np.partition(flat, size - k)[size - k]
     mask = flat > threshold
     # Entries strictly above the threshold always survive; the remaining

@@ -24,6 +24,12 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
+def rotation_and_scales(rng, n_in, cond):
+    """A random rotation Q and the singular values spanning condition number cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n_in, n_in)))
+    return q, np.logspace(0.0, -0.5 * math.log10(cond), n_in)
+
+
 def correlated_activations(rng, nl, n_in, cond=100.0, outliers=None):
     """Gaussian rows whose covariance spectrum spans the given condition number.
 
@@ -32,8 +38,7 @@ def correlated_activations(rng, nl, n_in, cond=100.0, outliers=None):
     feature dimensions 10-100x larger than the rest. The choice is drawn
     after the rows, so the rows match the draw without outliers.
     """
-    q, _ = np.linalg.qr(rng.standard_normal((n_in, n_in)))
-    sing = np.logspace(0.0, -0.5 * math.log10(cond), n_in)
+    q, sing = rotation_and_scales(rng, n_in, cond)
     x = rng.standard_normal((nl, n_in)) @ (q * sing) @ q.T
     if outliers is not None:
         fraction, factor = outliers
@@ -47,6 +52,21 @@ def random_problem(rng, n_in, n_out, nl=None, cond=100.0, outliers=None):
     x = correlated_activations(rng, nl, n_in, cond, outliers)
     h = x.T @ x
     return (h + h.T) / 2.0, rng.standard_normal((n_in, n_out))
+
+
+def held_out_problem(rng, n_in, n_out, nl, held_out_rows, cond=100.0):
+    """A (gram, dense weights) pair and a held-out Gram of the same layer.
+
+    Both Grams come from rows drawn through one rotation and one set of
+    scales, as correlated_activations draws them: nl calibration rows, then
+    held_out_rows fresh ones, which score a pruned layer on data its solver
+    never saw.
+    """
+    q, sing = rotation_and_scales(rng, n_in, cond)
+    calibration = rng.standard_normal((nl, n_in)) @ (q * sing) @ q.T
+    held_out = rng.standard_normal((held_out_rows, n_in)) @ (q * sing) @ q.T
+    w_hat = rng.standard_normal((n_in, n_out))
+    return gram_from_activations(calibration), w_hat, gram_from_activations(held_out)
 
 
 def scale_instance():

@@ -213,8 +213,8 @@ def test_float64_range_rule_lives_in_check_range():
 # and the exact oracle's H W_hat.
 RANGE_RULE_SITES = {
     "check_range": {"linalg.reconstruction_gap", "linalg.output_energy"},
-    "check_finite": {"linalg.check_range", "linalg._finite", "pcg.support_cg",
-                     "baselines.backsolve_exact"},
+    "check_finite": {"linalg.check_range", "linalg.rescale", "linalg.unscale",
+                     "pcg.support_cg", "baselines.backsolve_exact"},
 }
 
 

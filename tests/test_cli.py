@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -422,6 +423,21 @@ def test_removed_solver_flags_exit_2(workspace, capsys):
         )
         assert code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_shared_flags_read_the_same_in_every_help(capsys):
+    # prune, eval and oracle declare the weights and the Gram source once,
+    # so every --help shows one help text for each.
+    helps = {}
+    for command in ("prune", "eval", "oracle"):
+        assert main([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:", 1)[1]
+        # Each "--flag METAVAR help..." entry, its wrapped help joined.
+        entries = re.split(r"\n  (?=--)", options)[1:]
+        helps[command] = {e.split()[0]: " ".join(e.split()[2:]) for e in entries}
+    for flag in ("--weights", "--gram", "--activations"):
+        assert helps["prune"][flag]
+        assert helps["eval"][flag] == helps["oracle"][flag] == helps["prune"][flag]
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -258,3 +258,29 @@ def test_per_iterate_arrays_must_be_one_entry_longer(check, name, length):
     setattr(tr, name, np.ones(length))
     with pytest.raises(InvalidInputError, match="not one entry longer"):
         check(tr)
+
+
+def test_the_nan_trace_that_read_as_clean_is_rejected():
+    # NaN in v_norm[2] and in every grad_gap entry: each inequality is false
+    # on NaN, so the checkers used to return [], [] and TheoremBound(inf, 0.0).
+    tr = trace(3)
+    tr.v_norm[2] = math.nan
+    tr.grad_gap[:] = math.nan
+    for check in CHECKERS:
+        with pytest.raises(InvalidInputError, match="trace has a norm that is not finite"):
+            check(tr)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [
+    "d_change", "wd_gap", "d_norm", "v_norm", "grad_gap", "hv_norm", "h_spectral", "g_norm",
+])
+def test_a_norm_that_is_not_finite_is_rejected(name, value):
+    tr = trace(3)
+    if name in ("h_spectral", "g_norm"):
+        setattr(tr, name, value)
+    else:
+        getattr(tr, name)[1] = value
+    for check in CHECKERS:
+        with pytest.raises(InvalidInputError, match="trace has a norm that is not finite"):
+            check(tr)

@@ -14,7 +14,9 @@ from l0prune import (
     relative_error,
 )
 from l0prune.admm import admm_step, initial_state
-from l0prune.linalg import as_matrix, check_instance, eigendecompose, validate_gram
+from l0prune.linalg import (
+    as_matrix, check_finite, check_instance, eigendecompose, validate_gram,
+)
 
 from conftest import random_psd, scale_instance
 
@@ -127,6 +129,32 @@ def test_instance_check_holds_one_gram_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * n * n * 8
+
+
+# --- check_finite ---
+
+
+def test_check_finite_allocates_no_array():
+    # Read off max and min: no boolean mask, which would be 1 MB here.
+    # Each NumPy reduction costs about 1 KB of its own, whatever the size.
+    x = np.random.default_rng(5).standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        check_finite(x, "x")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_check_finite_raises_on_one_entry_past_float64(value):
+    x = np.ones((1000, 1000))
+    x[617, 42] = value
+    with pytest.raises(DegenerateInstanceError, match="x overflows float64"):
+        check_finite(x, "x")
 
 
 # --- eigendecompose ---
