@@ -36,23 +36,22 @@ loop a solve holds the state, the scaled W_hat and Gram, and during a
 top-k projection the copy np.partition reorders. Only D, rho and the
 trace outlive the loop, and admm_solve drops Q before the polish, which
 reads only lambda_max. The polish holds at most five n x m arrays past
-its entry: W, the projected D', in which its refinement runs, and the
-refinement's residual, direction and H times it. Each round's step runs
-in the spent descent's buffer, which goes before the refinement. So the
-polish stays below the loop's eight. The loop sets a wide layer's memory
-peak, the eigendecomposition a tall one's: about 6 n^2, with NumPy's
-copy of the input, LAPACK's work array and Q beside the Gram.
+its entry: W, a candidate D', in which its refinement runs, and the
+refinement's residual, direction and H times it. So it stays below the
+loop's eight. The loop sets a wide layer's memory peak, the
+eigendecomposition a tall one's: about 6 n^2, with NumPy's copy of the
+input, LAPACK's work array and Q beside the Gram.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
 kept ones, so supports churn until rho freezes one that is not the
-separable optimum. So after its refinement the polish runs monotone
-iterative hard-thresholding rounds (the local search CHITA runs on this
-objective). Each round takes D' = project(W + H (W_hat - W) / lambda_max),
-stops when D' keeps the current support, refines on the support of D'
-in D' itself, and keeps the result only if the objective strictly
-falls. With step 1 / lambda_max a round never raises the objective, and
-at a fixed point the rounds cost one product and one projection.
+separable optimum. So the polish takes the hard-thresholding step of
+CHITA's local search, D' = project(S + H (W_hat - S) / lambda_max), from
+two starts S: the refined W, then W_hat, where it is project(W_hat), the
+activation-weighted support on the unit live diagonal. D' is refined
+only on a new support whose D' already beats the best objective, and
+kept only if it still does, so no solve ends above that baseline but by
+rounding or a tie.
 linalg.quadratic_form gives each objective and descent, unchecked: they
 only order candidates, and build_solution range-checks the answer's gap
 on the caller's arrays. Only admm_solve checks inputs, through
@@ -209,48 +208,39 @@ def admm_loop(
 
 
 def polish(
-    scaled: ScaledProblem,
-    spectral_norm: float,
-    budget: SparsityBudget,
-    d: np.ndarray,
-    max_iters: int,
+    scaled: ScaledProblem, spectral_norm: float, budget: SparsityBudget, d: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Refine on the support of d, then run monotone hard-thresholding rounds.
+    """Refine on the support of d, then take the two hard-thresholding steps.
 
     Works on the rescaled problem, a congruence of the original, so the
     objectives compared are the real ones; spectral_norm is its Gram's.
-    The polish consumes d: the refinement runs in its buffer. At most
-    max_iters rounds follow, each taking its step in the descent's
-    buffer and refining its projected D' in D' itself, and every
-    refinement runs at most CG_ITERS iterations. So it holds at most
-    five n x m arrays: W, D' and support_cg's three. Returns the weights,
-    the rounds accepted and the CG iterations of every refinement.
+    It consumes d, refining in its buffer, and refines each candidate in
+    its own, CG_ITERS iterations at most. Returns the weights, the steps
+    accepted and the CG iterations of every refinement.
     """
     h, w_hat = scaled.gram, scaled.w_hat
-    step = 1.0 / spectral_norm
     mask = d != 0.0
     w, cg_iters = support_cg(h, w_hat, mask, d, CG_ITERS)
-    # H (W_hat - W) is minus half the objective's gradient.
+    # H (W_hat - W) is minus half the objective's gradient; it vanishes at
+    # W_hat. Popping each start lets the step from W go once projected.
     descent, objective = quadratic_form(h, w_hat - w)
-    rounds = 0
-    for _ in range(max_iters):
-        # The step runs in descent's buffer, released before the
-        # refinement: a kept round brings its own.
-        descent *= step
-        descent += w
-        d = project(descent, budget)
-        del descent
+    descent *= 1.0 / spectral_norm
+    descent += w
+    starts = [descent, w_hat]
+    del descent
+    accepted = 0
+    while starts:
+        d = project(starts.pop(0), budget)
         d_mask = d != 0.0
-        if np.array_equal(d_mask, mask):
-            break
-        candidate, iters = support_cg(h, w_hat, d_mask, d, CG_ITERS)
+        if np.array_equal(d_mask, mask) or not quadratic_form(h, w_hat - d)[1] < objective:
+            continue
+        d, iters = support_cg(h, w_hat, d_mask, d, CG_ITERS)
         cg_iters += iters
-        descent, candidate_objective = quadratic_form(h, w_hat - candidate)
-        if not candidate_objective < objective:
-            break
-        w, mask, objective = candidate, d_mask, candidate_objective
-        rounds += 1
-    return w, rounds, cg_iters
+        d_objective = quadratic_form(h, w_hat - d)[1]
+        if d_objective < objective:
+            w, mask, objective = d, d_mask, d_objective
+            accepted += 1
+    return w, accepted, cg_iters
 
 
 def admm_solve(
@@ -263,16 +253,17 @@ def admm_solve(
     that factorization until the support of D survives a whole check
     period unchanged (or max_iters is hit, reported via the stabilized
     flag). Then it polishes: refines the weights on the frozen support with
-    conjugate gradient, at most CG_ITERS iterations a refinement, and runs
-    at most max_iters monotone hard-thresholding rounds. Last it undoes the
-    scaling. The returned solution carries a per-iteration trace, in the
-    rescaled problem's units, the verdicts of the three convergence checks
-    of l0prune.diagnostics on it, the polish rounds accepted, and in
-    pcg_iters_used every refinement iteration the solve ran, polish rounds
-    included. Raises InvalidInputError when max_iters is not a positive
-    integer, and DegenerateInstanceError on an all-zero Gram diagonal, when
-    W_hat is nonzero only on dead channels, on an answer weight past
-    float64 (before its gap), and where relative_error would on the answer.
+    conjugate gradient, at most CG_ITERS iterations a refinement, and takes
+    two hard-thresholding steps, each kept only if it lowers the objective.
+    Last it undoes the scaling. The returned solution carries a
+    per-iteration trace, in the rescaled problem's units, the verdicts of
+    the three convergence checks of l0prune.diagnostics on it, the polish
+    steps accepted (0 to 2) in polish_rounds, and in pcg_iters_used every
+    refinement iteration the solve ran. max_iters caps only the loop.
+    Raises InvalidInputError when max_iters is not a positive integer, and
+    DegenerateInstanceError on an all-zero Gram diagonal, when W_hat is
+    nonzero only on dead channels, on an answer weight past float64
+    (before its gap), and where relative_error would on the answer.
     """
     # The only input checks; the rest trusts them.
     check_max_iters(max_iters)
@@ -289,7 +280,7 @@ def admm_solve(
     # Only D goes on: Q must not stay alive through the polish.
     spectral_norm = float(lam[-1])
     del lam, q
-    polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d, max_iters)
+    polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d)
     return build_solution(
         scaled.unscale(polished), h, w_hat, "alps",
         stabilized=bool(trace.support_change[-1] == 0),

@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune.add_argument(
         "--max-iters", type=int, default=MAX_ITERS,
-        help="cap on ADMM iterations and on polish rounds (alps only)",
+        help="cap on ADMM iterations (alps only)",
     )
     prune.set_defaults(func=cmd_prune)
 

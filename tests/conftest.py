@@ -69,6 +69,23 @@ def held_out_problem(rng, n_in, n_out, nl, held_out_rows, cond=100.0):
     return gram_from_activations(calibration), w_hat, gram_from_activations(held_out)
 
 
+def tiny_problem(seed, n_in=None):
+    """A tiny (gram, dense weights, k) triple with channels of unequal scale.
+
+    n_in is drawn from [2, 4] unless given, n_out from [1, 3], and the
+    rows from [n_in, 4 n_in]: standard normal, each channel scaled by a
+    factor drawn from [0.2, 5]. k is drawn from [1, n_in n_out - 1].
+    """
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(2, 5)) if n_in is None else n_in
+    n_out = int(rng.integers(1, 4))
+    rows = int(rng.integers(n_in, 4 * n_in + 1))
+    x = rng.standard_normal((rows, n_in)) * rng.uniform(0.2, 5.0, n_in)
+    h = x.T @ x
+    w_hat = rng.standard_normal((n_in, n_out))
+    return (h + h.T) / 2.0, w_hat, int(rng.integers(1, n_in * n_out))
+
+
 def scale_instance():
     """The (gram, dense weights) pair of the scale tests: 64 inputs, 32 outputs."""
     rng = np.random.default_rng(3)

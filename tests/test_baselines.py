@@ -164,7 +164,7 @@ def test_brute_force_matches_manual_enumeration():
     assert sol.objective == pytest.approx(best, rel=1e-12)
 
 
-def test_brute_force_rejects_when_every_support_is_singular():
+def test_brute_force_answers_a_singular_support_at_minimum_norm():
     # The one two-weight support of one column is singular on a rank-1
     # Gram; its minimum-norm answer splits W_hat's output [3, 3] evenly.
     sol = brute_force_support(np.ones((2, 2)), [[1.0], [2.0]], 2)
@@ -172,7 +172,7 @@ def test_brute_force_rejects_when_every_support_is_singular():
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
 
 
-def test_brute_force_skips_singular_supports():
+def test_brute_force_singular_supports_compete_and_lose():
     # On a rank-1 Gram, a support holding both rows of a column is singular:
     # it is solved at minimum norm and competes, and loses here, since one
     # row a column fits W_hat's output exactly; the tie goes to row 0.
