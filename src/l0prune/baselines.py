@@ -1,12 +1,12 @@
 """Reference solvers and pruning baselines.
 
 backsolve_exact is the optimality oracle for a fixed support;
-brute_force_support is the global oracle for instances small enough to
-enumerate. magnitude_prune and activation_weighted_prune are the two
+brute_force_support is the global top-k oracle for layers of up to 18
+inputs. magnitude_prune and activation_weighted_prune are the two
 standard one-shot baselines the solver is compared against.
 
 Each checks its Gram and dense weights once, through linalg.check_instance;
-brute force then hands every candidate to the exact solver's unchecked kernel.
+both oracles then solve through _solve, at minimum norm where singular.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import numpy as np
 
 from .diagnostics import IterTrace, TheoremBound, Violation
 from .errors import DegenerateInstanceError, InvalidInputError
-from .linalg import (
-    as_matrix, check_finite, check_instance, objective_and_error, output_energy, quadratic_form,
-)
+from .linalg import as_matrix, check_finite, check_instance, objective_and_error, output_energy
 from .projections import (
     SparsityBudget,
     Unstructured,
@@ -29,7 +27,7 @@ from .projections import (
     check_support,
 )
 
-BRUTE_FORCE_LIMIT = 20
+BRUTE_FORCE_LIMIT = 2**23
 
 
 @dataclass
@@ -84,63 +82,75 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         g = h @ w_hat
     check_finite(g, "H W_hat")
-    w = _backsolve(h, g, support)
+    w = np.zeros_like(g)
+    for j in range(g.shape[1]):
+        rows = np.flatnonzero(support[:, j])
+        if rows.size:
+            w[rows, j] = _solve(h[np.ix_(rows, rows)], g[rows, j])
     check_finite(w, "an exact weight")
     return w
 
 
-def _backsolve(h: np.ndarray, g: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """backsolve_exact's kernel for checked arrays, given G = H W_hat."""
-    w = np.zeros_like(g)
-    for j in range(g.shape[1]):
-        rows = np.flatnonzero(support[:, j])
-        if rows.size == 0:
-            continue
-        sub, rhs = h[np.ix_(rows, rows)], g[rows, j]
-        try:
-            w[rows, j] = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError:
-            # rhs = H[rows] W_hat lies in the range of the PSD sub: consistent.
-            w[rows, j] = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-    return w
+def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a restricted system or a stack of them, at minimum norm if one is singular."""
+    try:
+        return np.linalg.solve(sub, rhs)
+    except np.linalg.LinAlgError:
+        # Each rhs is H[rows] W_hat, in the range of its PSD sub: every member is consistent.
+        n = sub.shape[-1]
+        pairs = zip(sub.reshape(-1, n, n), rhs.reshape(sub.size // n**2, n, -1))
+        answers = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in pairs]
+        return np.stack(answers).reshape(rhs.shape)
 
 
 def brute_force_support(h, w_hat, k: int) -> PruneSolution:
-    """Global optimum by enumerating every support of size k.
+    """Global optimum over every support of size k, from per-column tables.
 
-    Only available for at most BRUTE_FORCE_LIMIT weights; the candidate
-    count explodes combinatorially beyond that. The instance is checked
-    and G = H W_hat formed once; each candidate then goes straight to the
-    exact solver's kernel. A singular candidate is solved at minimum norm,
-    not skipped, so dead inputs cost what a full-rank layer does. Objective
-    ties resolve to the lexicographically smallest support, which
-    enumeration order provides for free.
+    The objective separates over columns, coupled by the budget only
+    through their support sizes. Each size's C(n_in, s) restricted Grams
+    are stacked and solved once against all of G = H W_hat (at minimum norm
+    where singular), each column keeps its least objective by size, and a
+    min-plus knapsack picks sizes that sum to k: 2^n_in systems in all.
+    BRUTE_FORCE_LIMIT caps the tables, 2^n_in (n_in + n_out) + n_in n_out^2
+    numbers, before k is checked. Ties go to a column's first subset, then
+    to fewer weights in later columns, the last column first.
     """
     h, w_hat = check_instance(h, w_hat)
     n_in, n_out = w_hat.shape
-    size = n_in * n_out
-    if size > BRUTE_FORCE_LIMIT:
+    cells = 2**n_in * (n_in + n_out) + n_in * n_out**2
+    if cells > BRUTE_FORCE_LIMIT:
         raise InvalidInputError(
-            f"instance has {size} weights; enumeration is capped at {BRUTE_FORCE_LIMIT}"
+            f"the oracle's tables would hold {cells} numbers; the cap is {BRUTE_FORCE_LIMIT}"
         )
     budget_size(Unstructured(k), w_hat.shape)
-    # The energy is the objective of W = 0, so it bounds every candidate's
-    # optimum: if it is a normal float64, no candidate objective overflows.
-    g = output_energy(h, w_hat)[0]
-    best_w = None
-    best_obj = np.inf
-    for indices in combinations(range(size), k):
-        mask = np.zeros(size, dtype=bool)
-        mask[list(indices)] = True
-        w = _backsolve(h, g, mask.reshape(n_in, n_out))
-        # Clamped at zero as layer_objective clamps it; an inf or NaN never wins.
-        obj = max(quadratic_form(h, w_hat - w)[1], 0.0)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w
-    if best_w is None:
+    g = output_energy(h, w_hat)[0]  # H W_hat, once the energy is found in range
+    top, columns = min(n_in, k), np.arange(n_out)
+    table = np.full((top + 1, n_out), np.einsum("ij,ij->j", w_hat, g))  # least objective by size
+    answers = np.zeros((top + 1, n_in, n_out))  # each column's weights there
+    for s in range(1, top + 1):
+        rows = np.array(list(combinations(range(n_in), s)))
+        subs, rhs = h[rows[:, :, None], rows[:, None, :]], g[rows]
+        w = _solve(subs, rhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = table[0] + np.einsum("csm,csm->cm", w, subs @ w - 2 * rhs)
+        obj = np.fmin(np.maximum(obj, 0.0), np.inf)  # clamped at zero; a NaN loses as inf
+        best, table[s] = obj.argmin(0), obj.min(0)
+        answers[s, rows[best].T, columns] = w[best, :, columns].T
+    # head[c, t]: the least objective of the first c columns keeping t weights.
+    head = np.full((n_out + 1, k + 1), np.inf)
+    head[0, 0] = 0.0
+    for c in range(n_out):
+        for s in range(top + 1):
+            np.minimum(head[c + 1, s:], head[c, : k + 1 - s] + table[s, c], out=head[c + 1, s:])
+    if head[n_out, k] == np.inf:
         raise DegenerateInstanceError("no candidate support has a finite objective")
-    return build_solution(best_w, h, w_hat, "brute_force")
+    w = np.zeros_like(w_hat)
+    for c in reversed(range(n_out)):
+        sizes = np.arange(min(top, k) + 1)
+        s = int(np.argmin(head[c, k - sizes] + table[sizes, c]))
+        w[:, c] = answers[s, :, c]
+        k -= s
+    return build_solution(w, h, w_hat, "brute_force")
 
 
 def _keep_best(scores, w_hat, h, budget: SparsityBudget, method: str) -> PruneSolution:

@@ -184,9 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", parents=[inputs, outputs], help="exact reference solvers")
     mode = oracle.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pruned", help="solve exactly on this file's support")
-    mode.add_argument(
-        "--brute-k", type=int, help="enumerate every support of this size"
-    )
+    mode.add_argument("--brute-k", type=int, help="the optimum over every support of this size")
     oracle.set_defaults(func=cmd_oracle)
 
     gram = sub.add_parser("gram", help="accumulate X^T X from activations")

@@ -193,8 +193,7 @@ def quadratic_form(h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
 
     Past float64's range they overflow to inf or NaN without a warning.
     A reported value goes through check_range in reconstruction_gap or
-    output_energy; the polish and the brute-force search only order
-    candidates by it.
+    output_energy; the polish only orders candidates by it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h_x = h @ x

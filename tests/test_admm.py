@@ -537,6 +537,27 @@ def test_never_beats_the_exhaustive_oracle():
         assert admm_solve(h, w_hat, Unstructured(3)).objective >= optimum - 1e-9
 
 
+def test_never_beats_the_optimum_at_layer_scale(capsys):
+    # The exact oracle's per-column tables reach 16-input layers. The gap
+    # to the optimum is printed, not gated: it is the yardstick for a
+    # local search, not a property the solver promises.
+    ratios = []
+    for n_out in (16, 64):
+        for seed in range(3):
+            h, w_hat = random_problem(np.random.default_rng(seed), 16, n_out)
+            budget = budget_from_sparsity(0.7, 16, n_out)
+            optimum = brute_force_support(h, w_hat, budget.k).objective
+            objective = admm_solve(h, w_hat, budget).objective
+            assert objective >= optimum * (1 - 1e-9), (n_out, seed)
+            ratios.append(objective / optimum)
+    with capsys.disabled():
+        print(
+            f"\nALPS / optimum on 16x16 and 16x64 layers at 0.7 sparsity, 3 seeds each: "
+            f"median {np.median(ratios):.4f}, max {max(ratios):.4f}",
+            flush=True,
+        )
+
+
 def test_zero_budget_solution():
     rng = np.random.default_rng(7)
     h, w_hat = random_problem(rng, 6, 3)

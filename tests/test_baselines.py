@@ -18,7 +18,7 @@ from l0prune import (
     magnitude_prune,
     support_of,
 )
-from l0prune import linalg
+from l0prune import baselines, linalg
 from l0prune.projections import project
 
 from conftest import count_calls, random_problem, scale_instance
@@ -140,28 +140,31 @@ def test_brute_force_full_budget_is_exact():
 
 
 def test_brute_force_enumeration_guard():
-    with pytest.raises(InvalidInputError):
-        brute_force_support(np.eye(7), np.ones((7, 3)), 5)
+    # 19 inputs: 2^19 subsets of 19 + 1 numbers each pass the cap alone.
+    with pytest.raises(InvalidInputError, match="hold 10485779 numbers; the cap is 8388608$"):
+        brute_force_support(np.eye(19), np.ones((19, 1)), 5)
 
 
-def test_brute_force_matches_manual_enumeration():
-    rng = np.random.default_rng(5)
-    h, w_hat = random_problem(rng, 2, 2)
-    k = 2
-    best = np.inf
-    for kept in combinations(range(4), k):
-        mask = np.zeros(4, dtype=bool)
-        mask[list(kept)] = True
-        mask = mask.reshape(2, 2)
-        w = np.zeros_like(w_hat)
-        for j in range(2):
-            rows = np.flatnonzero(mask[:, j])
-            if rows.size:
-                sub = h[np.ix_(rows, rows)]
-                w[rows, j] = np.linalg.solve(sub, (h @ w_hat)[rows, j])
-        best = min(best, layer_objective(h, w_hat, w))
-    sol = brute_force_support(h, w_hat, k)
-    assert sol.objective == pytest.approx(best, rel=1e-12)
+@pytest.mark.parametrize("n_in, n_out", [(18, 13), (16, 109)])
+def test_brute_force_cap_bounds_inputs_and_columns(n_in, n_out):
+    # The cap is on 2^n_in (n_in + n_out) + n_in n_out^2 table entries: 18
+    # inputs take 13 columns and 16 take 109, one more column is refused.
+    # k = 1 keeps the run to one stack of n_in one-row systems.
+    h = np.eye(n_in)
+    assert brute_force_support(h, np.ones((n_in, n_out)), 1).objective >= 0.0
+    with pytest.raises(InvalidInputError, match="the cap is 8388608$"):
+        brute_force_support(h, np.ones((n_in, n_out + 1)), 1)
+
+
+def test_brute_force_refuses_a_wide_layer_before_any_table(monkeypatch):
+    # A 64x4096 layer would need tables of 2^64 rows. It is refused on its
+    # shape, before H W_hat, from which every table is built, is formed.
+    def formed(*args):
+        raise AssertionError("H W_hat was formed")
+
+    monkeypatch.setattr(baselines, "output_energy", formed)
+    with pytest.raises(InvalidInputError, match="the cap is 8388608$"):
+        brute_force_support(np.eye(64), np.ones((64, 4096)), 5)
 
 
 def test_brute_force_answers_a_singular_support_at_minimum_norm():
@@ -188,9 +191,53 @@ def test_brute_force_ties_go_to_the_first_support():
     np.testing.assert_array_equal(sol.support, [[True, False], [False, False]])
 
 
+@pytest.mark.parametrize(
+    "n_out, k, support",
+    [
+        (2, 2, [[True, False], [True, False]]),
+        (3, 3, [[True, True, False], [True, False, False]]),
+        (3, 4, [[True, True, False], [True, True, False]]),
+    ],
+)
+def test_brute_force_ties_go_to_fewer_weights_in_later_columns(n_out, k, support):
+    # Under the identity every kept weight removes 1 from the objective, so
+    # every split of k over the columns ties. The last column keeps the
+    # fewest it can, then the one before it; in a column the first subset
+    # wins.
+    sol = brute_force_support(np.eye(2), np.ones((2, n_out)), k)
+    np.testing.assert_array_equal(sol.support, support)
+
+
+def test_brute_force_refuses_when_no_support_of_size_k_is_finite():
+    # The subnormal pivot sends the full support's solve to -inf, and that
+    # support is the only one of size 2; one kept weight is answered.
+    b = -2.3522790860298037e-56
+    h = [[1.85635e-319, b], [b, 2.9806924342196126e207]]
+    w_hat = [[1.3125326846365033e-07], [2.7221307833061195e48]]
+    assert brute_force_support(h, w_hat, 1).support[:, 0].tolist() == [False, True]
+    with pytest.raises(DegenerateInstanceError, match="^no candidate support has a finite"):
+        brute_force_support(h, w_hat, 2)
+
+
+def test_brute_force_ranks_non_finite_table_entries_without_a_warning():
+    # Subnormal pivots make some stacked solves inf or NaN, and their
+    # objectives inf - inf; those entries lose, silently, as the whole-layer
+    # search's did. The answer is that search's.
+    h = np.diag([28.136768943804903, 2.1274337067673904e-281, 4.257049e-317])
+    h[0, 2] = h[2, 0] = 3.3125518780950846e-158
+    w_hat = [
+        [-1.5422125413373133e65, -1.8806033296442246e133],
+        [6.661897937986914e-14, 4.5428271739455415e61],
+        [1.9927724682133455e-137, -2.4004783522337655e-36],
+    ]
+    sol = brute_force_support(h, w_hat, 2)
+    np.testing.assert_array_equal(sol.support, [[True, True], [False, False], [False, False]])
+    assert sol.objective == pytest.approx(4.390444239112974e-158, rel=1e-12)
+
+
 def test_brute_force_checks_its_inputs_once(monkeypatch):
-    # 792 candidate supports, but the instance is checked once: W_hat and
-    # the Gram (inside validate_gram); the winning W is built, not checked.
+    # 15 restricted systems in four stacks, but the instance is checked once:
+    # W_hat and the Gram (inside validate_gram); the answer is built, not checked.
     counts = Counter()
     for name in ("validate_gram", "as_matrix"):
         count_calls(monkeypatch, linalg, name, counts)
@@ -216,10 +263,13 @@ def enumerable_instance(seed):
 
 
 def enumerated_optimum(h, w_hat, k, solve):
-    """The least objective over the size-k supports whose columns all solve.
+    """The least objective over the size-k supports whose columns all solve, and its support.
 
+    Enumerates every support of the whole layer and solves each of its
+    columns anew, independently of the oracle's per-column tables.
     solve(sub, rhs) is one restricted solve; a support where it raises
-    LinAlgError is skipped. None when every support is skipped.
+    LinAlgError is skipped. Ties go to the first support in lexicographic
+    order of the row-major weight index. None when every support is skipped.
     """
     n_in, n_out = w_hat.shape
     g = h @ w_hat
@@ -237,8 +287,40 @@ def enumerated_optimum(h, w_hat, k, solve):
         except np.linalg.LinAlgError:
             continue
         objective = layer_objective(h, w_hat, w)
-        best = objective if best is None else min(best, objective)
+        if best is None or objective < best[0]:
+            best = (objective, mask)
     return best
+
+
+def minimum_norm(sub, rhs):
+    return np.linalg.lstsq(sub, rhs, rcond=None)[0]
+
+
+def test_brute_force_matches_the_layer_enumeration():
+    # Acceptance test 3's 50 instances: full rank, so no support ties.
+    for i in range(50):
+        rng = np.random.default_rng(500 + i)
+        x = rng.standard_normal((32, 3))
+        h = x.T @ x
+        h, w_hat, k = (h + h.T) / 2.0, rng.standard_normal((3, 4)), 2 + i % 5
+        sol = brute_force_support(h, w_hat, k)
+        objective, support = enumerated_optimum(h, w_hat, k, np.linalg.solve)
+        np.testing.assert_array_equal(sol.support, support)
+        tol = 1e-12 * layer_objective(h, w_hat, np.zeros_like(w_hat))
+        assert sol.objective == pytest.approx(objective, rel=0.0, abs=tol)
+
+
+def test_brute_force_matches_the_layer_enumeration_on_degenerate_instances():
+    # Rank-deficient and dead-channel layers, where many restricted systems
+    # are singular and solved at minimum norm, some in a stack with regular
+    # ones; tied supports abound, so only the objectives are compared.
+    for seed in range(300):
+        h, w_hat, k = enumerable_instance(seed)
+        objective = enumerated_optimum(h, w_hat, k, minimum_norm)[0]
+        tol = 1e-11 * layer_objective(h, w_hat, np.zeros_like(w_hat))
+        assert brute_force_support(h, w_hat, k).objective == pytest.approx(
+            objective, rel=0.0, abs=tol
+        ), seed
 
 
 # Seeds of enumerable_instance. On 18 (rank-deficient) and 43 (dead channels)
@@ -250,16 +332,14 @@ def test_brute_force_answers_degenerate_instances(seed):
     sol = brute_force_support(h, w_hat, k)
     assert np.count_nonzero(sol.w) <= k
     tol = 1e-12 * layer_objective(h, w_hat, np.zeros_like(w_hat))
-    minimum_norm = enumerated_optimum(
-        h, w_hat, k, lambda sub, rhs: np.linalg.lstsq(sub, rhs, rcond=None)[0]
-    )
-    assert sol.objective == pytest.approx(minimum_norm, rel=0.0, abs=tol)
+    minimum_norm_optimum = enumerated_optimum(h, w_hat, k, minimum_norm)[0]
+    assert sol.objective == pytest.approx(minimum_norm_optimum, rel=0.0, abs=tol)
     # Where some support is nonsingular, skipping the singular ones loses nothing.
     nonsingular = enumerated_optimum(h, w_hat, k, np.linalg.solve)
     if seed in (18, 43):
         assert nonsingular is None
     else:
-        assert sol.objective == pytest.approx(nonsingular, rel=0.0, abs=tol)
+        assert sol.objective == pytest.approx(nonsingular[0], rel=0.0, abs=tol)
 
 
 def test_brute_force_lower_bounds_baselines():

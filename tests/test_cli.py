@@ -593,15 +593,16 @@ def test_nm_budget_block_sparsity_is_n_over_m(n, m, n_in):
 
 
 def test_oracle_brute_force_checks_the_instance_before_k(tmp_path, capsys):
-    write_matrix(tmp_path / "w.amtx", np.ones((6, 6)))
-    write_matrix(tmp_path / "h.amtx", np.eye(6))
+    # 19 inputs are past the oracle's cap even with one column.
+    write_matrix(tmp_path / "w.amtx", np.ones((19, 1)))
+    write_matrix(tmp_path / "h.amtx", np.eye(19))
     code = run(
         "oracle", "--weights", tmp_path / "w.amtx", "--gram", tmp_path / "h.amtx",
         "--brute-k", -1,
     )
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: instance has 36 weights; enumeration is capped at 20\n"
+        "error: the oracle's tables would hold 10485779 numbers; the cap is 8388608\n"
     )
 
 
