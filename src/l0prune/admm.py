@@ -26,21 +26,23 @@ the new D. Because Q is orthogonal, ||D - D_prev||, ||W - D||, ||V||,
 no product.
 
 The step runs in place, in six n x m buffers allocated once per solve:
-D, Q^T G, Q^T W, Q^T D, Q^T V and a spare. It forms ||D - D_prev|| and
-||W - D|| from differences it needs anyway, and ||D||, ||V||,
-||G - H D|| and ||H V|| are taken once per iterate, the start's included,
-and kept in the trace's per-iterate arrays. The state holds only these
-buffers, Q and lambda; admm_loop owns rho, the iteration count, the last
-checked support and the stop, and they die with the call. Through the
-loop a solve holds the state, the scaled W_hat and Gram, and during a
-top-k projection the copy np.partition reorders. Only D, rho and the
-trace outlive the loop, and admm_solve drops Q before the polish, which
-reads only lambda_max. The polish holds at most five n x m arrays past
-its entry: W, a candidate D', in which its refinement runs, and the
-refinement's residual, direction and H times it. So it stays below the
-loop's eight. The loop sets a wide layer's memory peak, the
-eigendecomposition a tall one's: about 6 n^2, with NumPy's copy of the
-input, LAPACK's work array and Q beside the Gram.
+D, Q^T G, Q^T W, Q^T D, Q^T V and a spare. It returns its trace row:
+||D - D_prev|| and ||W - D|| from differences it needs anyway, and the new
+iterate's ||D||, ||V||, ||G - H D|| and ||H V||, the gradient gap formed
+in the buffer the dual update has just spent. The start's row,
+(||W_hat||, 0, 0, 0), is exact and is written, not computed. The state
+holds only these buffers, Q and lambda; admm_loop owns rho, the
+iteration count, the last checked support and the stop, and they die
+with the call. Through the loop a solve holds the state, the scaled
+W_hat and Gram, and during a top-k projection the copy np.partition
+reorders. Only D, rho and the trace outlive the loop, and admm_solve
+drops Q before the polish, which reads only lambda_max, from the trace.
+The polish holds at most five n x m arrays past its entry: W, a
+candidate D', in which its refinement runs, and the refinement's
+residual, direction and H times it. So it stays below the loop's eight.
+The loop sets a wide layer's memory peak, the eigendecomposition a tall
+one's: about 6 n^2, with NumPy's copy of the input, LAPACK's work array
+and Q beside the Gram.
 
 The loop can stop on a support near, but not at, a better one: on a
 diagonal Gram the dual variable inflates the pruned entries against the
@@ -119,10 +121,12 @@ def initial_state(w_hat: np.ndarray, lam: np.ndarray, q: np.ndarray) -> AdmmStat
     )
 
 
-def admm_step(
-    state: AdmmState, rho: float, budget: SparsityBudget
-) -> tuple[float, float]:
-    """Advance W, D, V one iteration in place; returns ||D - D_prev||, ||W - D||."""
+def admm_step(state: AdmmState, rho: float, budget: SparsityBudget) -> tuple[float, ...]:
+    """Advance W, D, V one iteration in place; returns its trace row.
+
+    The row is ||D - D_prev||, ||W - D|| and the new iterate's ||D||,
+    ||V||, ||G - H D|| and ||H V||.
+    """
     d, qtd, qtv, spare, qtw = state.d, state.qtd, state.qtv, state.spare, state.qtw
     # (H + rho I) W = G - V + rho D is diagonal in the eigenbasis.
     np.subtract(state.qtg, qtv, out=qtw)
@@ -134,15 +138,22 @@ def admm_step(
     a += qtw
     d_next = project(np.matmul(state.q, a, out=d), budget, out=spare)
     qtd_next = np.matmul(state.q.T, d_next, out=d)
-    # Q is orthogonal, so both norms can be taken in the eigenbasis, in
-    # the old Q^T D's buffer: D - D_prev, then W - D for the dual update.
+    # Q is orthogonal, so the norms can be taken in the eigenbasis, in the
+    # old Q^T D's buffer: D - D_prev, W - D for the dual update, then, once
+    # V has spent it, G - H D = Q^T G - diag(lambda) Q^T D.
     d_change = np.linalg.norm(np.subtract(qtd_next, qtd, out=qtd))
     gap = np.subtract(qtw, qtd_next, out=qtd)
     wd_gap = np.linalg.norm(gap)
     gap *= rho
     qtv += gap
+    np.multiply(state.lam[:, None], qtd_next, out=gap)
+    np.subtract(state.qtg, gap, out=gap)
+    # ||V|| = ||Q^T V|| and ||H V|| = ||diag(lambda) Q^T V|| from one set
+    # of row sums, without an n x m temporary.
+    rows = np.einsum("ij,ij->i", qtv, qtv)
     state.d, state.qtd, state.spare = d_next, qtd_next, gap
-    return d_change, wd_gap
+    return (d_change, wd_gap, np.linalg.norm(d_next), math.sqrt(rows.sum()),
+            np.linalg.norm(gap), math.sqrt(state.lam**2 @ rows))
 
 
 def rho_update(rho: float, s_t: int, k: int) -> float:
@@ -159,22 +170,6 @@ def rho_update(rho: float, s_t: int, k: int) -> float:
     return RHO_MULTIPLIERS[2] * rho
 
 
-def _norms(state: AdmmState) -> tuple[float, float, float, float]:
-    """||D||, ||V||, ||G - H D|| and ||H V|| of the current iterates.
-
-    Q is orthogonal, so ||G - H D|| = ||Q^T G - diag(lambda) Q^T D||, formed
-    in the spare buffer (free between steps), ||V|| = ||Q^T V|| and
-    ||H V|| = ||diag(lambda) Q^T V||.
-    """
-    lam = state.lam
-    gap = np.multiply(lam[:, None], state.qtd, out=state.spare)
-    np.subtract(state.qtg, gap, out=gap)
-    # Both V norms from one set of row sums, without an n x m temporary.
-    rows = np.einsum("ij,ij->i", state.qtv, state.qtv)
-    return (np.linalg.norm(state.d), math.sqrt(rows.sum()),
-            np.linalg.norm(gap), math.sqrt(lam**2 @ rows))
-
-
 def admm_loop(
     w_hat, lam, q, budget: SparsityBudget, k: int, max_iters: int
 ) -> tuple[np.ndarray, float, IterTrace]:
@@ -186,16 +181,17 @@ def admm_loop(
     rho and the trace; the state dies with the call.
     """
     state = initial_state(w_hat, lam, q)
-    norms, steps = [_norms(state)], []
+    # The start's row: D = W_hat, V = 0 and G - H D = 0, exactly.
+    norms, steps = [(np.linalg.norm(w_hat), 0.0, 0.0, 0.0)], []
     rho, support = RHO0, w_hat != 0.0
     for t in range(1, max_iters + 1):
-        d_change, wd_gap = admm_step(state, rho, budget)
+        d_change, wd_gap, *iterate = admm_step(state, rho, budget)
         delta = -1
         if t % CHECK_PERIOD == 0:
             current = state.d != 0.0
             delta = support_change(current, support)
             support = current
-        norms.append(_norms(state))
+        norms.append(iterate)
         steps.append((rho, d_change, wd_gap, delta))
         if delta == 0:
             break
@@ -278,9 +274,8 @@ def admm_solve(
         raise DegenerateInstanceError("the dense weights are nonzero only on dead channels")
     d, rho, trace = admm_loop(scaled.w_hat, lam, q, budget, k_eff, max_iters)
     # Only D goes on: Q must not stay alive through the polish.
-    spectral_norm = float(lam[-1])
     del lam, q
-    polished, polish_rounds, pcg_iters = polish(scaled, spectral_norm, budget, d)
+    polished, polish_rounds, pcg_iters = polish(scaled, trace.h_spectral, budget, d)
     return build_solution(
         scaled.unscale(polished), h, w_hat, "alps",
         stabilized=bool(trace.support_change[-1] == 0),

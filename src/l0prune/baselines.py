@@ -96,11 +96,17 @@ def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
-        # Each rhs is H[rows] W_hat, in the range of its PSD sub: every member is consistent.
+        # solve raises on an exact-zero LU pivot, where slogdet's sign is 0:
+        # lstsq takes those members alone, one stacked solve the rest. Each
+        # rhs is H[rows] W_hat, in the range of its PSD sub: all are consistent.
         n = sub.shape[-1]
-        pairs = zip(sub.reshape(-1, n, n), rhs.reshape(sub.size // n**2, n, -1))
-        answers = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in pairs]
-        return np.stack(answers).reshape(rhs.shape)
+        sub = sub.reshape(-1, n, n)
+        w = rhs.reshape(len(sub), n, -1).copy()
+        singular = np.linalg.slogdet(sub)[0] == 0.0
+        w[~singular] = np.linalg.solve(sub[~singular], w[~singular])
+        for i in np.flatnonzero(singular):
+            w[i] = np.linalg.lstsq(sub[i], w[i], rcond=None)[0]
+        return w.reshape(rhs.shape)
 
 
 def brute_force_support(h, w_hat, k: int) -> PruneSolution:

@@ -78,10 +78,11 @@ def _check_trace(trace: IterTrace) -> None:
         )
     if not len(trace):
         raise InvalidInputError("trace has no steps")
-    if not np.all((0.0 < trace.rho) & (trace.rho < math.inf)):
+    # Read off max and min, which propagate NaN, as check_finite reads.
+    if not (0.0 < trace.rho.min() and trace.rho.max() < math.inf):
         raise InvalidInputError("trace has a penalty that is not positive and finite")
     norms = (trace.d_change, trace.wd_gap, *iterates, trace.h_spectral, trace.g_norm)
-    if not all(np.isfinite(x).all() for x in norms):
+    if not all(np.isfinite(np.max(x)) and np.isfinite(np.min(x)) for x in norms):
         raise InvalidInputError("trace has a norm that is not finite")
 
 

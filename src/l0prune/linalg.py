@@ -30,7 +30,8 @@ def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> 
         raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidInputError(f"{name} must have positive dimensions, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # As in check_finite: max and min propagate NaN and need no mask.
+    if not (np.isfinite(arr.max()) and np.isfinite(arr.min())):
         raise InvalidInputError(f"{name} contains non-finite entries")
     if shape is not None and arr.shape != shape:
         raise InvalidInputError(f"{name} {arr.shape} not shaped like {shape}")

@@ -139,13 +139,14 @@ def random_psd(rng, n, rank=None):
 
 
 def count_calls(monkeypatch, module, name, counts):
-    """Count calls to module.name from every l0prune namespace that holds it."""
+    """Count calls to module.name, there and from every l0prune namespace that holds it."""
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[name] += 1
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counted)
     for owner in list(sys.modules.values()):
         owner_name = getattr(owner, "__name__", "")
         if owner_name != "l0prune" and not owner_name.startswith("l0prune."):

@@ -276,7 +276,9 @@ def test_step_matches_original_basis_loop(case, budget):
     # The loop written out in the original basis, with explicit solves and
     # Gram products, under the penalties admm_solve recorded; every step
     # must agree, W and V read back from the eigenbasis, and Q^T D must
-    # not drift from D.
+    # not drift from D. Stepped by hand, admm_step returns the solve's
+    # trace rows bit for bit, and the start state's norms give its start
+    # row, which the loop writes as a literal.
     rng = np.random.default_rng(14)
     h, w_hat = random_problem(rng, 16, 12)
     if case == "dead_channel":
@@ -293,6 +295,10 @@ def test_step_matches_original_basis_loop(case, budget):
     d, v = scaled.w_hat.copy(), np.zeros_like(scaled.w_hat)
     trace = sol.trace
     steps = len(trace)
+    lam = state.lam[:, None]
+    start = (np.linalg.norm(state.d), np.linalg.norm(state.qtv),
+             np.linalg.norm(state.qtg - lam * state.qtd), np.linalg.norm(lam * state.qtv))
+    assert start == (trace.d_norm[0], trace.v_norm[0], trace.grad_gap[0], trace.hv_norm[0])
     # The loop below runs past the final iterate, whose norms it checks too.
     assert 20 <= steps < 40
     for t in range(40):
@@ -311,7 +317,10 @@ def test_step_matches_original_basis_loop(case, budget):
             assert trace.d_change[t] == pytest.approx(np.linalg.norm(d - d_prev), rel=1e-9)
             assert trace.wd_gap[t] == pytest.approx(np.linalg.norm(w - d), rel=1e-9)
 
-        admm_step(state, rho, budget)
+        row = admm_step(state, rho, budget)
+        if t < steps:
+            assert row == (trace.d_change[t], trace.wd_gap[t], trace.d_norm[t + 1],
+                           trace.v_norm[t + 1], trace.grad_gap[t + 1], trace.hv_norm[t + 1])
         assert np.array_equal(state.d != 0.0, d != 0.0)
         _assert_rel_close(state.q @ state.qtw, w)
         _assert_rel_close(state.d, d)

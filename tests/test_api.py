@@ -206,6 +206,24 @@ def test_float64_range_rule_lives_in_check_range():
     assert float64_raises == {("linalg", "check_range"), ("linalg", "check_finite")}
 
 
+def test_every_finiteness_check_reads_max_and_min():
+    # np.isfinite of a whole array allocates a mask the array's size; of
+    # its max and min, which propagate NaN, nothing. So every np.isfinite
+    # in the package takes one of the two reductions.
+    calls, unreduced = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and "isfinite" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            )):
+                continue
+            calls += 1
+            (arg,) = node.args
+            if not (isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) in ("max", "min")):
+                unreduced.append(f"{path.stem}:{node.lineno}")
+    assert calls and not unreduced
+
+
 # Where the range rule runs. Both sides: the gap and the energy a result
 # reports, and nothing of the rescaled problem, whose norms are bounded.
 # The overflow side alone, check_finite (which check_range also runs): the

@@ -323,6 +323,22 @@ def test_brute_force_matches_the_layer_enumeration_on_degenerate_instances():
         ), seed
 
 
+def test_brute_force_solves_only_the_singular_members_by_lstsq(monkeypatch):
+    # A dead input makes every restricted Gram that holds it singular, so
+    # every stack raises; lstsq then runs once per subset holding it,
+    # 2^4 of the 2^5 - 1, and each stack's regular members are solved as one.
+    h, w_hat = random_problem(np.random.default_rng(3), 5, 3)
+    h[2, :] = h[:, 2] = 0.0
+    counts = Counter()
+    count_calls(monkeypatch, np.linalg, "lstsq", counts)
+    sol = brute_force_support(h, w_hat, 6)
+    assert counts == {"lstsq": 2**4}
+    objective = enumerated_optimum(h, w_hat, 6, minimum_norm)[0]
+    tol = 1e-12 * layer_objective(h, w_hat, np.zeros_like(w_hat))
+    assert sol.objective == pytest.approx(objective, rel=0.0, abs=tol)
+    assert not sol.w[2].any()
+
+
 # Seeds of enumerable_instance. On 18 (rank-deficient) and 43 (dead channels)
 # every size-k support is singular, and the search once raised; on 0 and 31
 # some are not. Out of seeds 0-299, 103 were of the first kind.

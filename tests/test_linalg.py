@@ -26,6 +26,29 @@ def test_as_matrix_rejects_nan():
         as_matrix(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_as_matrix_rejects_an_infinite_entry(value):
+    x = np.ones((3, 4))
+    x[2, 1] = value
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_matrix(x)
+
+
+def test_as_matrix_allocates_no_mask():
+    # Finiteness is read off max and min, as check_finite reads it: an
+    # isfinite mask of this 2048 x 2048 array would take 4.2 MB.
+    x = np.ones((2048, 2048))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        as_matrix(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_as_matrix_rejects_vector():
     with pytest.raises(InvalidInputError):
         as_matrix(np.ones(3))
