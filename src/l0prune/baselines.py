@@ -6,7 +6,8 @@ inputs. magnitude_prune and activation_weighted_prune are the two
 standard one-shot baselines the solver is compared against.
 
 Each checks its Gram and dense weights once, through linalg.check_instance;
-both oracles then solve through _solve, at minimum norm where singular.
+both oracles then solve through _solve, which pins dead inputs (all-zero
+Gram rows) to 0 and answers at minimum norm where still singular.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
     support is a boolean array shaped like w_hat, as support_of returns
     it. For each output column solves the normal equations of the layer
     objective restricted to that column's support rows. Columns with an
-    empty support come back zero. A singular restricted system gets its
-    minimum-norm optimum, so a kept dead input holds 0. H W_hat or an
+    empty support come back zero. A kept dead input holds 0, and any other
+    singular restricted system gets its minimum-norm optimum. H W_hat or an
     answer weight past float64's range raises DegenerateInstanceError.
     """
     h, w_hat = check_instance(h, w_hat)
@@ -82,17 +83,25 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         g = h @ w_hat
     check_finite(g, "H W_hat")
-    w = np.zeros_like(g)
+    w, dead = np.zeros_like(g), ~h.any(axis=1)
     for j in range(g.shape[1]):
         rows = np.flatnonzero(support[:, j])
         if rows.size:
-            w[rows, j] = _solve(h[np.ix_(rows, rows)], g[rows, j])
+            w[rows, j] = _solve(h[np.ix_(rows, rows)], g[rows, j], dead[rows])
     check_finite(w, "an exact weight")
     return w
 
 
-def _solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a restricted system or a stack of them, at minimum norm if one is singular."""
+def _solve(sub: np.ndarray, rhs: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Solve a restricted system or a stack of them, at minimum norm if one is singular.
+
+    sub is a fresh gather of the Gram, and dead marks its rows that are
+    entirely zero. Each gets a unit pivot in place: its rhs entry, a row of
+    H W_hat, is exactly 0, so LU answers 0 there, the minimum-norm weight.
+    A caller that reads sub again sees the pivot only times that zero.
+    """
+    at = np.nonzero(dead)
+    sub[at + at[-1:]] = 1.0
     try:
         return np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
@@ -114,9 +123,10 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
 
     The objective separates over columns, coupled by the budget only
     through their support sizes. Each size's C(n_in, s) restricted Grams
-    are stacked and solved once against all of G = H W_hat (at minimum norm
-    where singular), each column keeps its least objective by size, and a
-    min-plus knapsack picks sizes that sum to k: 2^n_in systems in all.
+    are stacked and solved once against all of G = H W_hat (dead inputs at
+    0, at minimum norm where singular), each column keeps its least
+    objective by size, and a min-plus knapsack picks sizes that sum to k:
+    2^n_in systems in all.
     BRUTE_FORCE_LIMIT caps the tables, 2^n_in (n_in + n_out) + n_in n_out^2
     numbers, before k is checked. Ties go to a column's first subset, then
     to fewer weights in later columns, the last column first.
@@ -129,14 +139,14 @@ def brute_force_support(h, w_hat, k: int) -> PruneSolution:
             f"the oracle's tables would hold {cells} numbers; the cap is {BRUTE_FORCE_LIMIT}"
         )
     budget_size(Unstructured(k), w_hat.shape)
-    g = output_energy(h, w_hat)[0]  # H W_hat, once the energy is found in range
+    g, dead = output_energy(h, w_hat)[0], ~h.any(axis=1)  # H W_hat, once the energy is in range
     top, columns = min(n_in, k), np.arange(n_out)
     table = np.full((top + 1, n_out), np.einsum("ij,ij->j", w_hat, g))  # least objective by size
     answers = np.zeros((top + 1, n_in, n_out))  # each column's weights there
     for s in range(1, top + 1):
         rows = np.array(list(combinations(range(n_in), s)))
         subs, rhs = h[rows[:, :, None], rows[:, None, :]], g[rows]
-        w = _solve(subs, rhs)
+        w = _solve(subs, rhs, dead[rows])
         with np.errstate(over="ignore", invalid="ignore"):
             obj = table[0] + np.einsum("csm,csm->cm", w, subs @ w - 2 * rhs)
         obj = np.fmin(np.maximum(obj, 0.0), np.inf)  # clamped at zero; a NaN loses as inf

@@ -69,16 +69,18 @@ def gram_from_activations(x) -> np.ndarray:
     return spare
 
 
+@np.errstate(over="ignore")
 def validate_gram(h) -> np.ndarray:
     """Check that h is square, finite, and symmetric within tolerance."""
     h = as_matrix(h, "gram")
     if h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"gram must be square, got {h.shape}")
-    # h is finite, so max |h| needs no temporary and |h - h^T| needs one.
+    # h is finite, so max |h| needs no temporary. fl(a - b) = -fl(b - a), so the
+    # largest entry of H - H^T is its largest magnitude, inf where a difference
+    # overflows. It is read in blocks of s rows, about 1 MiB: no copy of h.
     atol = SYMMETRY_RTOL * max(h.max(), -h.min(), 1e-300)
-    skew = np.subtract(h, h.T)
-    np.abs(skew, out=skew)
-    if skew.max() > atol:
+    s = max(2**17 // len(h), 1)
+    if any(np.subtract(h[i : i + s], h[:, i : i + s].T).max() > atol for i in range(0, len(h), s)):
         raise InvalidInputError("gram is not symmetric within tolerance")
     return h
 

@@ -15,7 +15,7 @@ from l0prune import (
 )
 from l0prune.admm import admm_step, initial_state
 from l0prune.linalg import (
-    as_matrix, check_finite, check_instance, eigendecompose, validate_gram,
+    SYMMETRY_RTOL, as_matrix, check_finite, check_instance, eigendecompose, validate_gram,
 )
 
 from conftest import random_psd, scale_instance
@@ -47,6 +47,22 @@ def test_as_matrix_allocates_no_mask():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_instance_check_copies_no_gram():
+    # Symmetry is read off H - H^T in row blocks of about 1 MiB: the whole
+    # difference of this 2048 x 2048 Gram would take 33.6 MB.
+    h = random_psd(np.random.default_rng(4), 2048)
+    w_hat = np.ones((2048, 2))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        check_instance(h, w_hat)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_as_matrix_rejects_vector():
@@ -139,19 +155,60 @@ def test_validate_gram_tolerance_scales_with_largest_magnitude(sign):
         validate_gram(h)
 
 
-def test_instance_check_holds_one_gram_sized_temporary():
-    n = 512
-    h = random_psd(np.random.default_rng(4), n)
-    w_hat = np.ones((n, 2))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        check_instance(h, w_hat)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * n * n * 8
+def violates_symmetry(h):
+    """The rule validate_gram applies, read off the whole of |H - H^T|."""
+    with np.errstate(over="ignore"):
+        return np.abs(h - h.T).max() > SYMMETRY_RTOL * max(np.abs(h).max(), 1e-300)
+
+
+def straddle(h, i, j, sign):
+    """Copies of h with h[i, j] one ulp apart, on both sides of the symmetry rule."""
+    h = h.copy()
+    h[i, j] = h[j, i] + sign * SYMMETRY_RTOL * np.abs(h).max()
+    start = violates_symmetry(h)
+    toward = -sign * np.inf if start else sign * np.inf
+    while violates_symmetry(h) == start:
+        h[i, j] = np.nextafter(h[i, j], toward)
+    other = h.copy()
+    other[i, j] = np.nextafter(h[i, j], -toward)
+    return h, other
+
+
+def check_verdict(h):
+    """validate_gram rejects h exactly when the rule does."""
+    if violates_symmetry(h):
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            validate_gram(h)
+    else:
+        validate_gram(h)
+
+
+# 1000 is not a multiple of the 131 rows a block holds at that side: entry
+# (999, 3) is in the last, short block, (130, 131) and (131, 130) straddle a
+# block boundary.
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "n, i, j", [(2, 0, 1), (2, 1, 0), (1000, 999, 3), (1000, 3, 999), (1000, 130, 131),
+                (1000, 131, 130)],
+)
+def test_validate_gram_gives_the_verdict_of_the_whole_difference(n, i, j, sign):
+    x = np.random.default_rng(n + i).standard_normal((n, n))
+    pair = straddle((x + x.T) / 2.0, i, j, sign)
+    assert sorted(violates_symmetry(h) for h in pair) == [False, True]
+    for h in pair:
+        check_verdict(h)
+
+
+@pytest.mark.parametrize(
+    "h, rejected",
+    [([[5.0]], False), ([[-3.0]], False), ([[1.0, 1e308], [-1e308, 1.0]], True),
+     ([[1e308, -1e308], [-1e308, 1e308]], False)],
+    ids=["1x1", "1x1_negative", "overflowing_skew", "extreme_symmetric"],
+)
+def test_validate_gram_verdict_on_edge_cases(h, rejected):
+    h = np.array(h)
+    assert violates_symmetry(h) == rejected
+    check_verdict(h)
 
 
 # --- check_finite ---
