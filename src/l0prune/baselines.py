@@ -7,7 +7,7 @@ standard one-shot baselines the solver is compared against.
 
 Each checks its Gram and dense weights once, through linalg.check_instance;
 both oracles then solve through _solve, which pins dead inputs (all-zero
-Gram rows) to 0 and answers at minimum norm where still singular.
+Gram rows) to 0 and answers any still singular system at minimum norm.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def backsolve_exact(h, w_hat, support) -> np.ndarray:
 
 
 def _solve(sub: np.ndarray, rhs: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """Solve a restricted system or a stack of them, at minimum norm if one is singular.
+    """Solve a restricted system or a stack of them, at minimum norm where singular.
 
     sub is a fresh gather of the Gram, and dead marks its rows that are
     entirely zero. Each gets a unit pivot in place: its rhs entry, a row of
@@ -106,15 +106,14 @@ def _solve(sub: np.ndarray, rhs: np.ndarray, dead: np.ndarray) -> np.ndarray:
         return np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
         # solve raises on an exact-zero LU pivot, where slogdet's sign is 0:
-        # lstsq takes those members alone, one stacked solve the rest. Each
-        # rhs is H[rows] W_hat, in the range of its PSD sub: all are consistent.
+        # one pinv at lstsq's cutoff takes those members, one solve the rest.
+        # Each rhs is H[rows] W_hat, in the range of its PSD sub: consistent.
         n = sub.shape[-1]
         sub = sub.reshape(-1, n, n)
         w = rhs.reshape(len(sub), n, -1).copy()
         singular = np.linalg.slogdet(sub)[0] == 0.0
         w[~singular] = np.linalg.solve(sub[~singular], w[~singular])
-        for i in np.flatnonzero(singular):
-            w[i] = np.linalg.lstsq(sub[i], w[i], rcond=None)[0]
+        w[singular] = np.linalg.pinv(sub[singular], rtol=None, hermitian=True) @ w[singular]
         return w.reshape(rhs.shape)
 
 

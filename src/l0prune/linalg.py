@@ -39,34 +39,34 @@ def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> 
 
 
 def gram_from_activations(x) -> np.ndarray:
-    """H = X^T X, symmetrized to kill rounding skew.
+    """H = X^T X as BLAS syrk forms it, one triangle mirrored: exactly symmetric.
 
     x is the activation matrix, or an iterator of its row blocks, such as
     `matrixio.read_row_blocks` yields. Block products are summed in order
-    into one n x n buffer through one spare n x n buffer, so the Gram, the
-    spare and the current block are all that is held, and a block may be
-    overwritten once the next is drawn. One block, like a whole matrix,
-    gives the bits of the single product X^T X.
+    into one n x n buffer, through a spare one from the second block on, so
+    the Gram, the spare and the current block are all that is held, and a
+    block may be overwritten once the next is drawn. One block gives the
+    bits of the single product. A block in neither C nor Fortran order is
+    copied to C order first, as float32 is widened: NumPy multiplies such a
+    view off BLAS, not always exactly symmetric.
     """
     blocks = x if isinstance(x, Iterator) else iter((x,))
     h = spare = None
     for block in blocks:
         block = as_matrix(block, "activations")
+        block = block if block.flags.forc else np.ascontiguousarray(block)
         if h is None:
             h = block.T @ block
-            spare = np.empty_like(h)
         elif block.shape[1] != h.shape[0]:
             raise InvalidInputError(
                 f"activation block has {block.shape[1]} columns, expected {h.shape[0]}"
             )
         else:
-            np.matmul(block.T, block, out=spare)
+            spare = np.matmul(block.T, block, out=spare)
             h += spare
     if h is None:
         raise InvalidInputError("activations have no row blocks")
-    np.add(h, h.T, out=spare)
-    spare /= 2.0
-    return spare
+    return h
 
 
 @np.errstate(over="ignore")

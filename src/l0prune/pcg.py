@@ -53,7 +53,7 @@ def pcg_refine(h, w_hat, support, w0, max_iters: int = CG_ITERS) -> np.ndarray:
     h, w_hat = check_instance(h, w_hat)
     support = check_support(support, w_hat.shape)
     w0 = as_matrix(w0, "warm start", w_hat.shape)
-    if np.any(w0[~support] != 0.0):
+    if np.any(w0, where=~support):
         raise InvalidInputError("warm start has mass outside the support")
     check_max_iters(max_iters)
 

@@ -326,13 +326,16 @@ def test_brute_force_matches_the_layer_enumeration_on_degenerate_instances():
 def test_oracles_pin_a_dead_input_without_lstsq(monkeypatch):
     # A dead input (an all-zero Gram row) gets a unit pivot in every
     # restricted system that holds it, so LU answers 0 there, the weight
-    # lstsq's minimum norm gave it: no stack is singular, and no lstsq runs.
+    # lstsq's minimum norm gave it: no stack is singular, so neither the
+    # singular members' marking (slogdet) nor their minimum-norm solve
+    # (pinv) runs, and no lstsq either.
     h, w_hat = random_problem(np.random.default_rng(3), 5, 3)
     h[2, :] = h[:, 2] = 0.0
     objective = enumerated_optimum(h, w_hat, 6, minimum_norm)[0]
     full = minimum_norm(h, h @ w_hat)
     counts = Counter()
-    count_calls(monkeypatch, np.linalg, "lstsq", counts)
+    for name in ("lstsq", "pinv", "slogdet"):
+        count_calls(monkeypatch, np.linalg, name, counts)
     sol = brute_force_support(h, w_hat, 6)
     w = backsolve_exact(h, w_hat, np.ones(w_hat.shape, dtype=bool))
     assert counts == {}
@@ -342,25 +345,27 @@ def test_oracles_pin_a_dead_input_without_lstsq(monkeypatch):
     np.testing.assert_allclose(w, full, rtol=1e-9, atol=1e-12)
 
 
-def test_brute_force_solves_only_the_singular_members_by_lstsq(monkeypatch):
+def test_brute_force_solves_only_the_singular_members_by_pinv(monkeypatch):
     # Inputs 1 and 2 are exact duplicates, so a restricted Gram holding both
     # has two equal rows and an exact zero LU pivot: its stack raises, and
-    # lstsq takes those members alone, at most the 2^3 subsets holding both.
+    # one pinv per stack takes those members alone, at most the 2^3 subsets
+    # holding both.
     h, w_hat = random_problem(np.random.default_rng(3), 5, 3)
     h[2, :] = h[1, :]
     h[:, 2] = h[:, 1]
     objective = enumerated_optimum(h, w_hat, 6, minimum_norm)[0]
-    subs = []
-    lstsq = np.linalg.lstsq
+    stacks = []
+    pinv = np.linalg.pinv
 
-    def recorded(sub, rhs, rcond=None):
-        subs.append(sub.copy())
-        return lstsq(sub, rhs, rcond=rcond)
+    def recorded(a, *args, **kwargs):
+        stacks.append(a.copy())
+        return pinv(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
     sol = brute_force_support(h, w_hat, 6)
-    assert 1 <= len(subs) <= 2**3
-    for sub in subs:
+    members = [sub for stack in stacks for sub in stack]
+    assert 1 <= len(members) <= 2**3
+    for sub in members:
         assert any(np.array_equal(sub[a], sub[b]) for a, b in combinations(range(len(sub)), 2))
     tol = 1e-12 * layer_objective(h, w_hat, np.zeros_like(w_hat))
     assert sol.objective == pytest.approx(objective, rel=0.0, abs=tol)

@@ -13,10 +13,12 @@ from l0prune import (
     layer_objective,
     relative_error,
 )
+from l0prune import matrixio
 from l0prune.admm import admm_step, initial_state
 from l0prune.linalg import (
     SYMMETRY_RTOL, as_matrix, check_finite, check_instance, eigendecompose, validate_gram,
 )
+from l0prune.matrixio import read_row_blocks, write_matrix
 
 from conftest import random_psd, scale_instance
 
@@ -95,20 +97,95 @@ def test_gram_matches_outer_product_sum():
     np.testing.assert_allclose(gram_from_activations(x), expected, rtol=1e-12)
 
 
-def test_gram_output_is_exactly_symmetric():
+def activation_layouts(rng):
+    """One activation matrix in each layout a caller may hand over."""
+    x = rng.standard_normal((600, 200))
+    return {
+        "contiguous": x[:300, :100].copy(),
+        "column-strided": x[:300, ::2],
+        "row-strided": x[::2, :100],
+        "fortran": np.asfortranarray(x[:300, :100]),
+        "float32": x[:300, :100].astype(np.float32),
+    }
+
+
+def float32_stream(tmp_path, monkeypatch, x):
+    """x's rows read back from a float32 file in blocks of 40 rows."""
+    path = tmp_path / "x.amtx"
+    write_matrix(path, x, dtype=np.float32)
+    monkeypatch.setattr(matrixio, "BLOCK_BYTES", 40 * x.shape[1] * 8)
+    return lambda: read_row_blocks(path)
+
+
+def summed_products(blocks):
+    """The block products X^T X added in order, each of a C-ordered float64 copy."""
+    wide = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
+    h = wide[0].T @ wide[0]
+    for b in wide[1:]:
+        h = h + b.T @ b
+    return h
+
+
+def test_gram_output_is_exactly_symmetric(tmp_path, monkeypatch):
+    # BLAS's X^T X is exactly symmetric, and so is a sum of such products:
+    # the Gram is returned as summed, in every layout the bits of X^T X of a
+    # C-ordered copy. NumPy's own product of the column-strided view is not
+    # exactly symmetric at this size.
     rng = np.random.default_rng(2)
-    h = gram_from_activations(rng.standard_normal((50, 6)))
+    for name, x in activation_layouts(rng).items():
+        h = gram_from_activations(x)
+        assert h.tobytes() == summed_products([x]).tobytes(), name
+        assert np.array_equal(h, h.T), name
+        validate_gram(h)
+    stream = float32_stream(tmp_path, monkeypatch, rng.standard_normal((150, 7)))
+    h = gram_from_activations(stream())
     assert np.array_equal(h, h.T)
     validate_gram(h)
 
 
-def test_gram_sums_row_blocks_in_order():
+def test_gram_sums_row_blocks_in_order(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((9, 4))
     blocks = iter([x[:4], x[4:8].copy(), x[8:]])
     np.testing.assert_allclose(gram_from_activations(blocks), x.T @ x, rtol=1e-13)
     one = gram_from_activations(iter([x]))
     assert one.tobytes() == gram_from_activations(x).tobytes()
+    for name, x in activation_layouts(rng).items():
+        blocks = [x[:200], x[200:210], x[210:]]
+        h = gram_from_activations(iter(blocks))
+        assert h.tobytes() == summed_products(blocks).tobytes(), name
+        assert np.array_equal(h, h.T), name
+    stream = float32_stream(tmp_path, monkeypatch, rng.standard_normal((150, 7)))
+    blocks = [b.copy() for b in stream()]
+    assert [len(b) for b in blocks] == [40, 40, 40, 30]
+    h = gram_from_activations(stream())
+    assert h.tobytes() == summed_products(blocks).tobytes()
+    assert np.array_equal(h, h.T)
+
+
+def test_gram_entries_near_the_top_of_float64_stay_finite():
+    # 1.44e308 is finite, but twice it is not: no pass may form H + H^T.
+    x = np.array([[1.2e154, 1.0e154], [1.0, 2.0]])
+    h = gram_from_activations(x)
+    assert h.tobytes() == (x.T @ x).tobytes()
+    validate_gram(h)
+
+
+def test_gram_of_one_array_holds_only_the_gram():
+    # One block needs no spare product buffer: the Gram, n^2 float64, is all
+    # it allocates.
+    n = 1024
+    x = np.random.default_rng(4).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        h = gram_from_activations(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (n, n)
+    assert peak <= 1.1 * n * n * 8
 
 
 @pytest.mark.parametrize(

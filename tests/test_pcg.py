@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from l0prune import (
     pcg_refine,
     support_of,
 )
+from l0prune import pcg
 from l0prune.linalg import DEAD_DIAG_RTOL
 from l0prune.pcg import REL_TOL, support_cg
 
@@ -304,6 +307,41 @@ def test_shape_mismatch_rejected():
 def test_misshapen_warm_start_rejected():
     with pytest.raises(InvalidInputError, match=r"warm start \(2, 2\) not shaped like \(3, 2\)"):
         pcg_refine(np.eye(3), np.ones((3, 2)), np.ones((3, 2), bool), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("value, rejected", [(1e-300, True), (-1.0, True), (-0.0, False)])
+def test_warm_start_off_the_support_must_be_zero(value, rejected):
+    # -0.0 counts as zero, as it does under != 0.0.
+    w0 = np.zeros((3, 2))
+    w0[2, 1] = value
+    support = np.ones((3, 2), dtype=bool)
+    support[2, 1] = False
+    if rejected:
+        with pytest.raises(InvalidInputError, match="warm start has mass outside the support"):
+            pcg_refine(np.eye(3), np.ones((3, 2)), support, w0)
+    else:
+        assert pcg_refine(np.eye(3), np.ones((3, 2)), support, w0)[2, 1] == 0.0
+
+
+def test_warm_start_check_gathers_no_weights(monkeypatch):
+    # The off-support weights are read in place, under the support's
+    # complement: gathering them would take 1.5 MB here, the mask 0.26 MB.
+    # The Gram's check is left out, and a cap of 0 raises right after the
+    # warm start's, so the trace holds the argument checks alone.
+    w_hat = np.random.default_rng(9).standard_normal((512, 512))
+    support = mp_support(w_hat, int(0.3 * w_hat.size))
+    w0, h = np.where(support, w_hat, 0.0), np.eye(512)
+    monkeypatch.setattr(pcg, "check_instance", lambda h, w_hat: (h, w_hat))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(InvalidInputError, match="max_iters"):
+            pcg_refine(h, w_hat, support, w0, max_iters=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4e6
 
 
 def test_stats_report_final_relative_residual():
